@@ -152,11 +152,20 @@ def cmd_spectrum(args, out: Path, t0: float) -> int:
 def cmd_evolve(args, out: Path, t0: float) -> int:
     spec = _chain_spec(args)
     params = synthesize(spec)
-    sites = [int(s) for s in args.excite.split(",")] if args.excite else []
-    if args.state_file:
-        psi = state_from_json(Path(args.state_file).read_text())
-    else:
-        psi = basis_state(spec.n_sites, sites)
+    try:
+        sites = [int(s) for s in args.excite.split(",")] if args.excite else []
+    except ValueError:
+        raise CliError(f"cannot parse --excite {args.excite!r}", EXIT_BAD_INPUT) from None
+    try:
+        psi = (
+            state_from_json(Path(args.state_file).read_text())
+            if args.state_file
+            else basis_state(spec.n_sites, sites)
+        )
+    except (OSError, TypeError, json.JSONDecodeError) as exc:
+        raise CliError(f"bad state file: {exc}", EXIT_BAD_INPUT) from None
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from None
     t = args.time * params.tau if args.time_in_tau else args.time
     try:
         final = evolve_state(psi, params, t, method=args.method)
@@ -295,9 +304,14 @@ def cmd_parity(args, out: Path, t0: float) -> int:
 def cmd_scenario(args, out: Path, t0: float) -> int:
     try:
         scenario = protocols.Scenario.from_json(Path(args.scenario).read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad scenario file: {exc}", EXIT_BAD_INPUT) from None
-    result = protocols.run_scenario(scenario, n_steps=args.steps)
+    except ValueError as exc:
+        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
+    try:
+        result = protocols.run_scenario(scenario, n_steps=args.steps)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from None
     out.mkdir(parents=True, exist_ok=True)
     (out / "populations.csv").write_text(protocols.populations_csv(result))
     _write_result(

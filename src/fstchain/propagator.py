@@ -13,7 +13,9 @@ Basis conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
@@ -22,11 +24,13 @@ from .synthesis import ChainParams, single_excitation_hamiltonian
 __all__ = [
     "DENSE_SITE_LIMIT",
     "LIFT_SITE_LIMIT",
+    "SECTOR_TENSOR_LIMIT",
     "single_propagator",
     "extract_transfer_phase",
     "lift_to_full",
     "sector_indices",
     "sector_propagator",
+    "sector_apply",
     "dense_oracle",
     "dense_hamiltonian",
     "evolve_state",
@@ -37,6 +41,9 @@ __all__ = [
 
 DENSE_SITE_LIMIT = 10
 LIFT_SITE_LIMIT = 12
+# largest antisymmetric tensor sector_apply builds, in complex entries
+# (2^24 entries = 256 MB; one contraction holds two of them)
+SECTOR_TENSOR_LIMIT = 2**24
 
 
 def single_propagator(params: ChainParams, t: float) -> np.ndarray:
@@ -90,6 +97,79 @@ def sector_propagator(u: np.ndarray, k: int) -> np.ndarray:
     # stack all (S', S) submatrices and take dets in one vectorized call
     sub = u[rows[:, None, :, None], rows[None, :, None, :]]
     return np.linalg.det(sub.reshape(m * m, k, k)).reshape(m, m)
+
+
+@lru_cache(maxsize=64)
+def _antisymmetric_layout(n: int, k: int):
+    """Flat positions of the k-excitation subsets in an (n,)*k tensor.
+
+    Returns (scatter, signs, gather): ``scatter[p, i]`` is the position of
+    subset i with its sites in the order of permutation p, ``signs[p]``
+    that permutation's sign, and ``gather`` the sorted positions.
+    """
+    rows = np.array(list(combinations(range(n), k)), dtype=np.int64)
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    perms = np.array(list(permutations(range(k))), dtype=np.int64)
+    # sign of a permutation = parity of its inversion count
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    signs = 1.0 - 2.0 * (inversions % 2)
+    scatter = rows[:, perms].transpose(1, 0, 2) @ place
+    out = (scatter, signs, rows @ place)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _contract_sector(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
+    if k == 0:
+        return amp.astype(complex)
+    n = u.shape[0]
+    scatter, signs, gather = _antisymmetric_layout(n, k)
+    t = np.zeros(n**k, dtype=complex)
+    t[scatter] = signs[:, None] * amp[None, :]
+    ut = u.T
+    for _ in range(k):
+        # contract u into the leading axis and rotate it to the back
+        t = t.reshape(n, -1).T @ ut
+    return t.reshape(-1)[gather]
+
+
+def sector_apply(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
+    """``sector_propagator(u, k) @ amp`` without building the m x m lift.
+
+    The amplitudes are scattered into an antisymmetric rank-k tensor, u is
+    contracted into each of its axes, and the sorted subsets are read back:
+    sum_pi sgn(pi) prod_j u[S'_j, S_pi(j)] = det u[S', S].  For k > N/2
+    the sector is evolved as its N-k hole sector under conj(u), by Jacobi's
+    complementary-minor identity det u[S', S] = (-1)^(sum S' + sum S)
+    det u conj(det u[S'^c, S^c]), which needs u unitary.  The tensor has
+    N^min(k, N-k) entries; above SECTOR_TENSOR_LIMIT a ValueError is raised
+    before anything is allocated.
+    """
+    n = u.shape[0]
+    if u.shape != (n, n):
+        raise ValueError(f"u must be square, got shape {u.shape}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
+    holes = n - k
+    size = n ** int(min(k, holes))  # Python int: no int64 wrap-around
+    if size > SECTOR_TENSOR_LIMIT:
+        raise ValueError(
+            f"sector N={n}, k={k} needs a tensor of {size} entries "
+            f"(limit {SECTOR_TENSOR_LIMIT})"
+        )
+    amp = np.asarray(amp)
+    m = comb(n, k)
+    if amp.shape != (m,):
+        raise ValueError(f"amplitudes must have shape ({m},), got {amp.shape}")
+    if k <= holes:
+        return _contract_sector(u, k, amp)
+    if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-9:
+        raise ValueError("the particle-hole route for k > N/2 needs a unitary u")
+    # complements of lexicographic k-subsets are reverse-lexicographic
+    sign = np.array([(-1) ** sum(c) for c in combinations(range(n), k)])
+    holes_out = _contract_sector(u.conj(), holes, (sign * amp)[::-1])
+    return np.linalg.det(u) * sign * holes_out[::-1]
 
 
 def lift_to_full(u: np.ndarray, tol_unitary: float = 1e-9) -> np.ndarray:
@@ -149,6 +229,8 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
     for s in sites:
         if not 1 <= s <= n_sites:
             raise ValueError(f"site {s} outside 1..{n_sites}")
+        if idx >> (n_sites - s) & 1:
+            raise ValueError(f"site {s} given twice")
         idx |= 1 << (n_sites - s)
     psi = np.zeros(2**n_sites, dtype=complex)
     psi[idx] = 1.0
@@ -156,28 +238,25 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
 
 
 def evolve_state(
-    psi: np.ndarray, params: ChainParams, t: float, method: str = "lift"
+    psi: np.ndarray, params: ChainParams, t: float, method: str = "auto"
 ) -> np.ndarray:
     """Evolve a 2^N state vector for time t.
 
-    method="lift" uses the free-fermion determinant lift (N <= 12),
-    method="dense" the brute-force exponential (N <= 10), and
-    method="sector" lifts only the excitation-number sectors the state
-    actually occupies (the only option for long chains; cheap for a few
-    excitations).  method="auto" picks sector for N > 12, lift otherwise.
+    method="sector" (also what "auto" means) evolves each excitation-number
+    sector the state occupies with sector_apply, at any N whose sectors fit
+    SECTOR_TENSOR_LIMIT.  method="lift" (the full determinant lift, N <= 12)
+    and method="dense" (the brute-force exponential, N <= 10) are oracles.
     """
     n = params.n_sites
     if psi.shape != (2**n,):
         raise ValueError(f"state dimension {psi.shape} does not match N={n}")
-    if method == "auto":
-        method = "sector" if n > LIFT_SITE_LIMIT else "lift"
-    if method == "sector":
+    if method in ("auto", "sector"):
         u1 = single_propagator(params, t)
         out = np.zeros_like(psi, dtype=complex)
         occupied = np.unique(np.bitwise_count(np.flatnonzero(np.abs(psi) > 0)))
         for k in occupied:
             idx = sector_indices(n, int(k))
-            out[idx] = sector_propagator(u1, int(k)) @ psi[idx]
+            out[idx] = sector_apply(u1, int(k), psi[idx])
         return out
     if method == "lift":
         full = lift_to_full(single_propagator(params, t))

@@ -20,8 +20,8 @@ from .propagator import (
     LIFT_SITE_LIMIT,
     extract_transfer_phase,
     lift_to_full,
+    sector_apply,
     sector_indices,
-    sector_propagator,
     single_propagator,
 )
 from .synthesis import ChainSpec, synthesize
@@ -138,10 +138,24 @@ def correlator_measure(psi: np.ndarray, paulis, j_max: float = 1.0) -> float:
     return 1.0 - 2.0 * p_odd
 
 
+def _check_site(value, n_sites: int, what: str) -> None:
+    """Raise ValueError unless value is a 1-based site of an n_sites chain."""
+    if not isinstance(value, (int, np.integer)) or not 1 <= value <= n_sites:
+        raise ValueError(f"{what} {value!r} is not a site in 1..{n_sites}")
+
+
+def _time(value, what: str) -> float:
+    """A finite, non-negative time, or ValueError."""
+    if not isinstance(value, (int, float, np.number)) or not 0 <= value < np.inf:
+        raise ValueError(f"{what} {value!r} is not a finite time >= 0")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Dynamics scenario: initial excitations plus timed instantaneous
-    events ({"t", "kind": "xflip", "site"}).  Event times non-decreasing."""
+    events ({"t", "kind": "xflip", "site"}).  Event times non-decreasing;
+    run_scenario rejects events after t_final."""
 
     n_sites: int
     theta: float
@@ -150,11 +164,22 @@ class Scenario:
     t_final: float | None = None  # defaults to 2 tau
 
     def __post_init__(self):
-        ts = [e["t"] for e in self.events]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("event times must be non-decreasing")
+        for s in self.excitations:
+            _check_site(s, self.n_sites, "excitation site")
         if len(set(self.excitations)) != len(self.excitations):
             raise ValueError("duplicate excitation sites")
+        if self.t_final is not None and _time(self.t_final, "t_final") == 0:
+            raise ValueError("t_final must be > 0")
+        ts = []
+        for e in self.events:
+            if not isinstance(e, dict) or set(e) != {"t", "kind", "site"}:
+                raise ValueError(f"event {e!r} must have exactly t, kind, site")
+            if e["kind"] != "xflip":
+                raise ValueError(f"unknown event kind {e['kind']!r}")
+            _check_site(e["site"], self.n_sites, "event site")
+            ts.append(_time(e["t"], "event time"))
+        if any(b < a for a, b in zip(ts, ts[1:])):
+            raise ValueError("event times must be non-decreasing")
 
     @classmethod
     def from_json(cls, s: str) -> "Scenario":
@@ -188,17 +213,15 @@ class ScenarioResult:
 
 class _SectorState:
     """State spread over excitation-number sectors, stored per sector as an
-    amplitude vector over the subsets of sector_indices ordering.  Keeps
-    Fig.-2-scale chains (N=15) cheap: only occupied sectors are evolved,
-    via C(N,k)-dimensional determinant lifts."""
+    amplitude vector over the subsets of sector_indices ordering.  Only the
+    occupied sectors are evolved, each by sector_apply (a tensor
+    contraction, never the C(N,k) x C(N,k) determinant lift)."""
 
     def __init__(self, n_sites: int, excitations):
         self.n = n_sites
         k = len(excitations)
         idx = 0
         for s in excitations:
-            if not 1 <= s <= n_sites:
-                raise ValueError(f"site {s} outside 1..{n_sites}")
             idx |= 1 << (n_sites - s)
         sector = sector_indices(n_sites, k)
         amp = np.zeros(len(sector), dtype=complex)
@@ -206,9 +229,7 @@ class _SectorState:
         self.sectors = {k: amp}
 
     def evolved(self, u1: np.ndarray) -> dict:
-        return {
-            k: sector_propagator(u1, k) @ amp for k, amp in self.sectors.items()
-        }
+        return {k: sector_apply(u1, k, amp) for k, amp in self.sectors.items()}
 
     def apply_xflip(self, site: int) -> None:
         """Toggle the occupation of one site, rerouting amplitudes across
@@ -242,16 +263,25 @@ class _SectorState:
 
 
 def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
-    """Site-population time series p_n(t) on a uniform grid.
+    """Site-population time series p_n(t) on a uniform grid of n_steps
+    intervals.
 
     Events are applied instantaneously at their times; the evolution
-    between events uses the exact sector-restricted determinant lift.
+    between events is exact, sector by sector (sector_apply).  An event
+    after t_final (2 tau by default) raises ValueError.
     """
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     params = synthesize(
         ChainSpec(n_sites=scenario.n_sites, theta=scenario.theta, tau=1.0)
     )
     tau = params.tau
     t_final = scenario.t_final if scenario.t_final is not None else 2 * tau
+    slack = 1e-12 * max(t_final, 1.0)
+    if scenario.events and scenario.events[-1]["t"] > t_final + slack:
+        raise ValueError(
+            f"event at t={scenario.events[-1]['t']} after t_final={t_final}"
+        )
     times = np.linspace(0.0, t_final, n_steps + 1)
     state = _SectorState(scenario.n_sites, scenario.excitations)
 
@@ -259,17 +289,15 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
     pops = np.empty((len(times), scenario.n_sites))
     t_anchor = 0.0  # time at which `state` is current
     for i, t in enumerate(times):
-        while events and events[0]["t"] <= t + 1e-12 * max(t_final, 1.0):
+        while events and events[0]["t"] <= t + slack:
             ev = events.pop(0)
             # advance the stored state to the event time, then apply
             u1 = single_propagator(params, ev["t"] - t_anchor)
             state.sectors = state.evolved(u1)
             t_anchor = ev["t"]
-            if ev["kind"] == "xflip":
-                state.apply_xflip(int(ev["site"]))
-            else:
-                raise ValueError(f"unknown event kind {ev['kind']!r}")
-        u1 = single_propagator(params, t - t_anchor)
+            state.apply_xflip(int(ev["site"]))
+        # an event up to `slack` after t has been applied: sample at its time
+        u1 = single_propagator(params, max(t - t_anchor, 0.0))
         pops[i] = state.populations(state.evolved(u1))
     return ScenarioResult(times=times / tau, populations=pops, tau=tau)
 

@@ -135,6 +135,38 @@ class TestEvolve:
             atol=1e-9,
         )
 
+    @pytest.mark.parametrize(
+        "excite,code",
+        [("7", EXIT_VALIDATION), ("a", EXIT_BAD_INPUT), ("1,1", EXIT_VALIDATION)],
+    )
+    def test_bad_excitations(self, tmp_path, excite, code):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "evolve", "--n", "5", "--theta", "0.5pi",
+                     "--tau", "1.0", "--excite", excite, "--time", "1"]) == code
+        assert not (out / "state.json").exists()
+
+    def test_missing_state_file(self, tmp_path):
+        code = main(["--out", str(tmp_path / "o"), "evolve", "--n", "4",
+                     "--theta", "0.5pi", "--tau", "1.0", "--time", "1",
+                     "--state-file", str(tmp_path / "nope.json")])
+        assert code == EXIT_BAD_INPUT
+
+    def test_six_excitations_on_fifteen_sites(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "evolve", "--n", "15", "--theta", "0.5pi",
+                     "--tau", "1.0", "--excite", "1,2,3,4,5,6", "--time", "0.5"])
+        assert code == EXIT_OK
+        res = _result(out)["result"]
+        assert res["norm"] == pytest.approx(1.0, abs=1e-12)
+        assert sum(res["populations"]) == pytest.approx(6.0, abs=1e-10)
+
+    def test_oversized_sector_refused(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "o"), "evolve", "--n", "15",
+                     "--theta", "0.5pi", "--tau", "1.0",
+                     "--excite", "1,2,3,4,5,6,7", "--time", "0.5"])
+        assert code == EXIT_VALIDATION
+        assert "limit" in capsys.readouterr().err
+
 
 class TestDecomposeAndSweep:
     def test_decompose_counts(self, tmp_path):
@@ -226,6 +258,38 @@ class TestScenario:
         code = main(["--out", str(tmp_path / "o"), "scenario",
                      str(tmp_path / "nope.json")])
         assert code == EXIT_BAD_INPUT
+
+    def test_malformed_json(self, tmp_path):
+        f = tmp_path / "scenario.json"
+        f.write_text('{"n_sites": 5,')
+        assert main(["--out", str(tmp_path / "o"), "scenario", str(f)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "excitations,event",
+        [
+            ([1], {"t": 0.5, "kind": "xflip", "site": 9}),
+            ([1], {"t": 0.5, "kind": "xflip", "site": 0}),
+            ([1], {"t": 0.5, "kind": "zap", "site": 2}),
+            ([1], {"t": -0.5, "kind": "xflip", "site": 2}),
+            ([1], {"t": 50, "kind": "xflip", "site": 2}),
+            ([1], {"t": 0.5, "site": 2}),
+            ([7], None),
+        ],
+    )
+    def test_invalid_scenario(self, tmp_path, capsys, excitations, event):
+        body = {"n_sites": 5, "theta": 1.0, "excitations": excitations,
+                "events": [event] if event else []}
+        f = self._scenario_file(tmp_path, body)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "scenario", str(f), "--steps", "4"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "populations.csv").exists()
+
+    def test_negative_steps(self, tmp_path):
+        f = self._scenario_file(tmp_path, {"n_sites": 5, "theta": 1.0, "excitations": [1]})
+        code = main(["--out", str(tmp_path / "o"), "scenario", str(f), "--steps", "-3"])
+        assert code == EXIT_VALIDATION
 
     def test_determinism(self, tmp_path):
         f = self._scenario_file(
