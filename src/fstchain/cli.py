@@ -232,10 +232,14 @@ def cmd_decompose(args, out: Path, t0: float) -> int:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        a, b = text.split("..")
-        return int(a), int(b)
-    return int(text), int(text)
+    try:
+        lo, sep, hi = text.partition("..")
+        n_lo, n_hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise CliError(f"cannot parse range {text!r}", EXIT_BAD_INPUT) from None
+    if n_lo > n_hi:
+        raise CliError(f"empty range {text!r}: {n_lo} > {n_hi}", EXIT_VALIDATION)
+    return n_lo, n_hi
 
 
 def cmd_speed_sweep(args, out: Path, t0: float) -> int:
@@ -274,7 +278,10 @@ def cmd_parity(args, out: Path, t0: float) -> int:
         bits = args.basis.strip()
         if not set(bits) <= {"0", "1"}:
             raise CliError("basis must be a 0/1 string", EXIT_BAD_INPUT)
-        psi = basis_state(len(bits), [i + 1 for i, b in enumerate(bits) if b == "1"])
+        try:
+            psi = basis_state(len(bits), [i + 1 for i, b in enumerate(bits) if b == "1"])
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_VALIDATION) from None
     else:
         raise CliError("need --state-file or --basis", EXIT_BAD_INPUT)
     try:
@@ -343,7 +350,7 @@ def cmd_device_optimize(args, out: Path, t0: float) -> int:
     )
     _write_csv(
         out / "trace.csv",
-        ["eval", "infidelity", "leakage", "phiA1", "phiA2", "wd1", "wd2"],
+        ["eval", "infidelity", "leakage", "phiA1", "phiA2", "wd1", "wd2", "wall_s"],
         [(int(e[0]),) + tuple(float(v) for v in e[1:]) for e in res.trace],
     )
     _write_result(

@@ -13,6 +13,7 @@ zero-flux values this module stores).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,14 +82,11 @@ class DeviceSpec:
     dc2: float = 0.5
     phi_dc1: float = 0.3
     phi_dc2: float = 0.3
-    levels: int = 3
 
     def __post_init__(self):
         for d in (self.dc1, self.dc2):
             if not 0.0 <= d <= 1.0:
                 raise ValueError(f"asymmetry d must be in [0, 1], got {d}")
-        if self.levels != 3:
-            raise ValueError("only 3 levels per mode are supported")
 
     def dispersive_warnings(self) -> list:
         """Sanity diagnostics: dispersive ratios and direct-coupling sizes."""
@@ -287,7 +285,37 @@ class _Operators:
         )
         occ = np.indices((_LEVELS,) * _MODES).reshape(_MODES, -1)
         self.total_occupation = occ.sum(axis=0)
-        self.mode_occupation = occ
+        # every coupling is (b^dag - b)(b^dag - b) and the coupler terms are
+        # diagonal, so H(t) never mixes even and odd total occupation;
+        # parity_blocks relies on it and a term that breaks it must not be
+        # dropped silently
+        odd = self.total_occupation % 2 == 1
+        if np.any(self.h_static[odd[:, None] != odd[None, :]]):
+            raise ValueError(
+                "the static Hamiltonian couples even and odd total occupation"
+            )
+        self._blocks: dict = {}
+
+    def parity_blocks(self, nmax: int | None) -> tuple:
+        """The even and odd total-occupation blocks of the working space
+        (total occupation <= nmax; the full space when None), each as
+        (rows, h_static block, n_c1 diagonal, n_c2 diagonal), with rows
+        the block's positions in the working space."""
+        if nmax not in self._blocks:
+            occ = self.total_occupation
+            keep = np.arange(_DIM) if nmax is None else np.flatnonzero(occ <= nmax)
+            blocks = []
+            for parity in (0, 1):
+                rows = np.flatnonzero(occ[keep] % 2 == parity)
+                idx = keep[rows]
+                blocks.append((
+                    rows,
+                    self.h_static[np.ix_(idx, idx)],
+                    np.diag(self.n_c1)[idx],
+                    np.diag(self.n_c2)[idx],
+                ))
+            self._blocks[nmax] = tuple(blocks)
+        return self._blocks[nmax]
 
 
 _OP_CACHE: dict = {}
@@ -348,6 +376,8 @@ def propagate(
     aligned to the AWG sample grid (the envelope is piecewise constant at
     that rate).  ``nmax`` truncates to total boson occupation <= nmax (a
     faster inner-loop space for the optimizer; full space when None).
+    The drive never mixes even and odd total occupation, so the two
+    parity blocks are evolved separately, each with its own ``eigh``.
     ``columns`` restricts the output to U[:, columns] (indices in the
     working space), which skips most of the per-step matrix product; a
     2-D complex array is used directly as the initial block, returning
@@ -369,26 +399,16 @@ def propagate(
 
 def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
     cfg.validate_flux_branch(spec)
-    ops = _operators(spec)
-    if nmax is None:
-        keep = slice(None)
-        dim = _DIM
-        h0 = ops.h_static
-        nc1 = np.diag(ops.n_c1).copy()
-        nc2 = np.diag(ops.n_c2).copy()
-    else:
-        keep = np.flatnonzero(ops.total_occupation <= nmax)
-        dim = keep.size
-        h0 = ops.h_static[np.ix_(keep, keep)]
-        nc1 = np.diag(ops.n_c1)[keep]
-        nc2 = np.diag(ops.n_c2)[keep]
-
-    if cfg.tau_final <= 0:
-        if columns is None:
-            return np.eye(dim, dtype=complex)
+    blocks = _operators(spec).parity_blocks(nmax)
+    dim = sum(rows.size for rows, *_ in blocks)
+    u = np.eye(dim, dtype=complex)
+    if columns is not None:
         if np.ndim(columns) == 2:
-            return np.array(columns, dtype=complex)
-        return np.eye(dim, dtype=complex)[:, columns]
+            u = np.array(columns, dtype=complex)
+        else:
+            u = np.ascontiguousarray(u[:, columns])
+    if cfg.tau_final <= 0:
+        return u
 
     # substeps aligned to the AWG sample grid: the sampled-and-held drive
     # is discontinuous at sample boundaries, and a step straddling one
@@ -410,26 +430,25 @@ def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
     wc2_1 = flux_to_frequency(spec, 2, coupler_flux(spec, cfg, 2, t_nodes1))
     wc2_2 = flux_to_frequency(spec, 2, coupler_flux(spec, cfg, 2, t_nodes2))
 
-    u = np.eye(dim, dtype=complex)
-    if columns is not None:
-        if np.ndim(columns) == 2:
-            u = np.array(columns, dtype=complex)
-        else:
-            u = np.ascontiguousarray(u[:, columns])
-    diag_idx = np.arange(dim)
-    for k in range(n_steps):
-        # CF4 step exp(-i dt H_A) exp(-i dt H_B) with
-        # H_B = H_static/2 + a2 H_d(t1) + a1 H_d(t2) (earlier in time) and
-        # H_A the same with a1/a2 swapped
-        dt = widths[k]
-        for c1, c2 in ((a2, a1), (a1, a2)):
-            h = 0.5 * h0
-            h[diag_idx, diag_idx] += (
-                (c1 * wc1_1[k] + c2 * wc1_2[k]) * nc1
-                + (c1 * wc2_1[k] + c2 * wc2_2[k]) * nc2
-            )
-            w, v = np.linalg.eigh(h)
-            u = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ u)
+    # H(t) is block diagonal in total-occupation parity, so each block's
+    # rows of u evolve on their own
+    for rows, h0, nc1, nc2 in blocks:
+        ub = u[rows]
+        diag_idx = np.arange(rows.size)
+        for k in range(n_steps):
+            # CF4 step exp(-i dt H_A) exp(-i dt H_B) with
+            # H_B = H_static/2 + a2 H_d(t1) + a1 H_d(t2) (earlier in time) and
+            # H_A the same with a1/a2 swapped
+            dt = widths[k]
+            for c1, c2 in ((a2, a1), (a1, a2)):
+                h = 0.5 * h0
+                h[diag_idx, diag_idx] += (
+                    (c1 * wc1_1[k] + c2 * wc1_2[k]) * nc1
+                    + (c1 * wc2_1[k] + c2 * wc2_2[k]) * nc2
+                )
+                w, v = np.linalg.eigh(h)
+                ub = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ ub)
+        u[rows] = ub
     return u
 
 
@@ -466,13 +485,10 @@ def _exchange_of_flux(spec: DeviceSpec, coupler: int):
     return lambda phi: swt_effective_params(spec, phi_c2=phi)["g23"]
 
 
-def sideband_coupling(
-    spec: DeviceSpec, coupler: int, amp: float, wd: float | None = None
-) -> float:
+def sideband_coupling(spec: DeviceSpec, coupler: int, amp: float) -> float:
     """First-harmonic coupling g-bar^(1): the cos(w_d t) Fourier component
-    of the modulated exchange g~(Phi_DC + amp cos x).  Independent of the
-    drive frequency itself (kept in the signature for interface symmetry)."""
-    del wd
+    of the modulated exchange g~(Phi_DC + amp cos x), which does not depend
+    on the drive frequency itself."""
     phi_dc = spec.phi_dc1 if coupler == 1 else spec.phi_dc2
     g_of_phi = _exchange_of_flux(spec, coupler)
     x = np.linspace(0.0, 2 * np.pi, 1025)[:-1]
@@ -548,6 +564,31 @@ def comp_columns(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
     return np.array([pos[int(i)] for i in _COMP_INDEX])
 
 
+def _static_eigenstates(spec: DeviceSpec, phi_c1: float, phi_c2: float, nmax):
+    """Eigenpairs of the Hamiltonian at fixed coupler fluxes, one parity
+    block of the working space at a time: [(rows, evals, evecs)]."""
+    wc1 = flux_to_frequency(spec, 1, phi_c1)
+    wc2 = flux_to_frequency(spec, 2, phi_c2)
+    return [
+        (rows, *np.linalg.eigh(h0 + np.diag(wc1 * nc1 + wc2 * nc2)))
+        for rows, h0, nc1, nc2 in _operators(spec).parity_blocks(nmax)
+    ]
+
+
+def _dressed_index(eigen, bare: int) -> tuple:
+    """(block, column) in ``eigen`` of the eigenstate with the largest
+    overlap with the bare working-space state ``bare``."""
+    b = next(i for i, (rows, _, _) in enumerate(eigen) if bare in rows)
+    rows, _, vecs = eigen[b]
+    overlaps = np.abs(vecs[np.searchsorted(rows, bare)]) ** 2
+    pick = int(np.argmax(overlaps))
+    if overlaps[pick] < 0.5:
+        raise RuntimeError(
+            f"ambiguous dressed-state identification (overlap {overlaps[pick]:.2f})"
+        )
+    return b, pick
+
+
 _DRESSED_CACHE: dict = {}
 
 
@@ -563,22 +604,17 @@ def dressed_basis(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
     key = (spec.to_json(), nmax)
     if key in _DRESSED_CACHE:
         return _DRESSED_CACHE[key]
-    h = build_hamiltonian(spec, spec.phi_dc1, spec.phi_dc2)
-    if nmax is not None:
-        keep = np.flatnonzero(_operators(spec).total_occupation <= nmax)
-        h = h[np.ix_(keep, keep)]
-    _, vecs = np.linalg.eigh(h)
-    cols = comp_columns(spec, nmax)
-    w = np.empty((h.shape[0], 8), dtype=complex)
+    eigen = _static_eigenstates(spec, spec.phi_dc1, spec.phi_dc2, nmax)
+    w = np.zeros((sum(rows.size for rows, _, _ in eigen), 8), dtype=complex)
     used = set()
-    for j, bare in enumerate(cols):
-        overlaps = np.abs(vecs[bare, :]) ** 2
-        pick = int(np.argmax(overlaps))
-        if overlaps[pick] < 0.5 or pick in used:
+    for j, bare in enumerate(comp_columns(spec, nmax)):
+        b, pick = _dressed_index(eigen, bare)
+        if (b, pick) in used:
             raise RuntimeError("ambiguous dressed computational state")
-        used.add(pick)
-        v = vecs[:, pick]
-        w[:, j] = v * (np.conj(v[bare]) / abs(v[bare]))
+        used.add((b, pick))
+        rows, _, vecs = eigen[b]
+        w[rows, j] = vecs[:, pick]
+        w[:, j] *= np.conj(w[bare, j]) / abs(w[bare, j])
     if len(_DRESSED_CACHE) > 8:
         _DRESSED_CACHE.clear()
     _DRESSED_CACHE[key] = w
@@ -664,7 +700,7 @@ def gate_metrics(
 class OptimizeResult:
     config: PulseConfig
     metrics: GateMetrics
-    trace: tuple          # (eval, infidelity, leakage, amp1, amp2, wd1, wd2)
+    trace: tuple  # (eval, infidelity, leakage, amp1, amp2, wd1, wd2, wall_s)
     n_evaluations: int
     converged: bool
 
@@ -703,6 +739,7 @@ def optimize_pulse(
     def objective(x):
         if len(trace) >= budget or best[0] < target_infidelity:
             raise _Done
+        t0 = time.perf_counter()
         cfg = replace(
             initial, amp1=abs(x[0]), amp2=abs(x[1]),
             wd1=x[2] * w_scale, wd2=x[3] * w_scale,
@@ -715,7 +752,7 @@ def optimize_pulse(
         except ValueError:
             infid, leak = 1.0, 1.0
         trace.append((len(trace), infid, leak, abs(x[0]), abs(x[1]),
-                      x[2] * w_scale, x[3] * w_scale))
+                      x[2] * w_scale, x[3] * w_scale, time.perf_counter() - t0))
         if infid < best[0]:
             best[0], best[1] = infid, np.array(x)
         return infid
@@ -751,7 +788,7 @@ def optimize_pulse(
         metrics=final_metrics,
         trace=tuple(trace),
         n_evaluations=len(trace),
-        converged=final_metrics.infidelity < target_infidelity * 10,
+        converged=bool(final_metrics.infidelity < target_infidelity * 10),
     )
 
 
@@ -761,26 +798,16 @@ def zz_coupling(spec: DeviceSpec, phi_c1=None, phi_c2=None, pair=(1, 2)) -> floa
     maximal overlap with the bare states."""
     phi1 = spec.phi_dc1 if phi_c1 is None else phi_c1
     phi2 = spec.phi_dc2 if phi_c2 is None else phi_c2
-    h = build_hamiltonian(spec, phi1, phi2)
-    evals, evecs = np.linalg.eigh(h)
+    eigen = _static_eigenstates(spec, phi1, phi2, None)
     qa, qb = pair
     mode_of_qubit = {1: _Q1, 2: _Q2, 3: _Q3}
 
-    def bare_index(excited):
+    def dressed_energy(excited):
         levels = np.zeros(_MODES, dtype=int)
         for q in excited:
             levels[mode_of_qubit[q]] = 1
-        return int(np.ravel_multi_index(levels, (_LEVELS,) * _MODES))
-
-    def dressed_energy(excited):
-        i = bare_index(excited)
-        overlaps = np.abs(evecs[i, :]) ** 2
-        j = int(np.argmax(overlaps))
-        if overlaps[j] < 0.5:
-            raise RuntimeError(
-                f"ambiguous dressed-state identification (overlap {overlaps[j]:.2f})"
-            )
-        return evals[j]
+        b, j = _dressed_index(eigen, np.ravel_multi_index(levels, (_LEVELS,) * _MODES))
+        return eigen[b][1][j]
 
     return float(
         dressed_energy((qa, qb))

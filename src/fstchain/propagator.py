@@ -25,6 +25,7 @@ __all__ = [
     "DENSE_SITE_LIMIT",
     "LIFT_SITE_LIMIT",
     "SECTOR_TENSOR_LIMIT",
+    "STATE_VECTOR_LIMIT",
     "single_propagator",
     "extract_transfer_phase",
     "lift_to_full",
@@ -44,6 +45,10 @@ LIFT_SITE_LIMIT = 12
 # largest antisymmetric tensor sector_apply builds, in complex entries
 # (2^24 entries = 256 MB; one contraction holds two of them)
 SECTOR_TENSOR_LIMIT = 2**24
+# largest dense 2^N state vector basis_state builds, in complex entries
+# (2^24 entries = 256 MB, N <= 24; evolving and writing it takes about
+# 200 bytes an entry)
+STATE_VECTOR_LIMIT = 2**24
 
 
 def single_propagator(params: ChainParams, t: float) -> np.ndarray:
@@ -224,7 +229,15 @@ def dense_oracle(params: ChainParams, t: float) -> np.ndarray:
 
 
 def basis_state(n_sites: int, sites) -> np.ndarray:
-    """Computational basis state with excitations at the given 1-based sites."""
+    """Computational basis state with excitations at the given 1-based sites.
+
+    Above STATE_VECTOR_LIMIT entries a ValueError is raised before anything
+    is allocated."""
+    if 2**n_sites > STATE_VECTOR_LIMIT:
+        raise ValueError(
+            f"a dense state on N={n_sites} sites needs {2**n_sites} entries "
+            f"(limit {STATE_VECTOR_LIMIT})"
+        )
     idx = 0
     for s in sites:
         if not 1 <= s <= n_sites:

@@ -167,6 +167,17 @@ class TestEvolve:
         assert code == EXIT_VALIDATION
         assert "limit" in capsys.readouterr().err
 
+    def test_oversized_state_refused(self, tmp_path, capsys):
+        # 2^40 entries (16 TiB) are refused before anything is allocated
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "evolve", "--n", "40", "--theta", "0.5pi",
+                     "--tau", "1.0", "--excite", "1", "--time", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit" in err
+        assert not (out / "state.json").exists()
+
 
 class TestDecomposeAndSweep:
     def test_decompose_counts(self, tmp_path):
@@ -195,6 +206,18 @@ class TestDecomposeAndSweep:
         lines = (out / "speed_sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 6 * 2
         assert _result(out)["result"]["min_ratio"] >= np.sqrt(3) - 1e-9
+
+    @pytest.mark.parametrize(
+        "n,code",
+        [("40..5", EXIT_VALIDATION), ("5..", EXIT_BAD_INPUT), ("a", EXIT_BAD_INPUT),
+         ("5..7..9", EXIT_BAD_INPUT)],
+    )
+    def test_speed_sweep_bad_range(self, tmp_path, capsys, n, code):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "speed-sweep", "--n", n, "--theta", "pi"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "speed_sweep.csv").exists()
 
     def test_speed_sweep_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -233,6 +256,10 @@ class TestParity:
     def test_bad_basis(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "01a"])
         assert code == EXIT_BAD_INPUT
+
+    def test_oversized_basis_refused(self, tmp_path):
+        code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "0" * 40])
+        assert code == EXIT_VALIDATION
 
 
 class TestScenario:
@@ -300,6 +327,18 @@ class TestScenario:
         main(["--out", str(b), "scenario", str(f), "--steps", "20"])
         assert (a / "populations.csv").read_bytes() == (b / "populations.csv").read_bytes()
         assert _result_without_wall_time(a) == _result_without_wall_time(b)
+
+
+class TestDeviceOptimize:
+    def test_trace_has_wall_seconds(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "device-optimize", "--theta", "pi",
+                     "--tau-final", "10e-9", "--budget", "2"])
+        assert code in (EXIT_OK, EXIT_TOLERANCE)
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert lines[0] == "eval,infidelity,leakage,phiA1,phiA2,wd1,wd2,wall_s"
+        assert len(lines) == 3
+        assert all(float(line.split(",")[-1]) > 0 for line in lines[1:])
 
 
 class TestDeviceZZScan:

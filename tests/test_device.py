@@ -1,10 +1,13 @@
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fstchain import gates
+from fstchain import device, gates
 from fstchain.device import (
     GHZ,
     MHZ,
@@ -13,8 +16,10 @@ from fstchain.device import (
     build_hamiltonian,
     comp_columns,
     coupler_flux,
+    dressed_basis,
     flux_to_frequency,
     gate_metrics,
+    optimize_pulse,
     propagate,
     pulse_envelope,
     seed_pulse_config,
@@ -398,3 +403,154 @@ class TestGateMetrics:
         b = gate_metrics(block, np.pi, SPEC, cfg, nmax=4)
         assert a.infidelity == pytest.approx(b.infidelity, abs=1e-9)
         assert a.leakage == pytest.approx(b.leakage, abs=1e-12)
+
+
+# --------------------------------------------- parity-block references
+
+_OCCUPATION = np.indices((3,) * 5).reshape(5, -1).sum(axis=0)
+
+
+def _working_space(nmax):
+    return np.arange(243) if nmax is None else np.flatnonzero(_OCCUPATION <= nmax)
+
+
+def _dense_cf4(spec, cfg, substeps_per_sample, nmax):
+    """The CF4 integrator on the whole working space, one full-matrix eigh
+    per half-step: exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2))
+    with H1, H2 the Hamiltonian at the two Gauss nodes of each step."""
+    keep = _working_space(nmax)
+    dt0 = 1.0 / (cfg.sample_rate * substeps_per_sample)
+    n_full = int(np.floor(cfg.tau_final / dt0 + 1e-9))
+    edges = dt0 * np.arange(n_full + 1)
+    if cfg.tau_final - edges[-1] > 1e-15 * cfg.tau_final:
+        edges = np.append(edges, cfg.tau_final)
+    c = np.sqrt(3) / 6
+    a1, a2 = 0.25 - c, 0.25 + c
+
+    def hamiltonian(t):
+        h = build_hamiltonian(spec, coupler_flux(spec, cfg, 1, t),
+                              coupler_flux(spec, cfg, 2, t))
+        return h[np.ix_(keep, keep)]
+
+    u = np.eye(keep.size, dtype=complex)
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        dt = t1 - t0
+        h1 = hamiltonian(t0 + (0.5 - c) * dt)
+        h2 = hamiltonian(t0 + (0.5 + c) * dt)
+        for x1, x2 in ((a2, a1), (a1, a2)):
+            w, v = np.linalg.eigh(x1 * h1 + x2 * h2)
+            u = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ u)
+    return u
+
+
+def _dressed_by_full_eigh(spec, nmax):
+    keep = _working_space(nmax)
+    h = build_hamiltonian(spec, spec.phi_dc1, spec.phi_dc2)[np.ix_(keep, keep)]
+    _, vecs = np.linalg.eigh(h)
+    w = np.empty((keep.size, 8), dtype=complex)
+    for j, bare in enumerate(comp_columns(spec, nmax)):
+        v = vecs[:, np.argmax(np.abs(vecs[bare]) ** 2)]
+        w[:, j] = v * np.conj(v[bare]) / abs(v[bare])
+    return w
+
+
+def _zz_by_full_eigh(spec, phi_c1, phi_c2, pair):
+    evals, evecs = np.linalg.eigh(build_hamiltonian(spec, phi_c1, phi_c2))
+    mode = {1: 0, 2: 2, 3: 4}
+
+    def energy(excited):
+        levels = [0] * 5
+        for q in excited:
+            levels[mode[q]] = 1
+        return evals[np.argmax(np.abs(evecs[np.ravel_multi_index(levels, (3,) * 5)]) ** 2)]
+
+    qa, qb = pair
+    return energy((qa, qb)) - energy((qa,)) - energy((qb,)) + energy(())
+
+
+class TestParityBlocks:
+    # 5 ns with a 1 ns rise: 12 AWG samples, 24 CF4 steps at 2 substeps
+    PULSE = PulseConfig(amp1=0.1, amp2=0.08, wd1=59.5 * MHZ, wd2=84.5 * MHZ,
+                        tau_final=5e-9, tau_rise=1e-9)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _reference(nmax):
+        return _dense_cf4(SPEC, TestParityBlocks.PULSE, 2, nmax)
+
+    def test_block_sizes(self):
+        ops = device._operators(SPEC)
+        assert [rows.size for rows, *_ in ops.parity_blocks(5)] == [61, 86]
+        assert [rows.size for rows, *_ in ops.parity_blocks(None)] == [122, 121]
+
+    @pytest.mark.parametrize("nmax", [3, 4, None])
+    @pytest.mark.parametrize("kind", ["identity", "index", "block"])
+    def test_propagate_matches_dense_cf4(self, nmax, kind):
+        ref = self._reference(nmax)
+        dim = ref.shape[0]
+        if kind == "identity":
+            columns, want = None, ref
+        elif kind == "index":
+            columns = comp_columns(SPEC, nmax)
+            want = ref[:, columns]
+        else:
+            # random columns spread over both parity blocks
+            rng = np.random.default_rng(dim)
+            columns = rng.normal(size=(dim, 5)) + 1j * rng.normal(size=(dim, 5))
+            want = ref @ columns
+        got = propagate(SPEC, self.PULSE, 2, nmax=nmax, columns=columns)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("nmax", [3, 5, None])
+    def test_dressed_basis_matches_full_eigh(self, nmax):
+        got = dressed_basis(SPEC, nmax)
+        assert np.abs(got - _dressed_by_full_eigh(SPEC, nmax)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "phi_c1,phi_c2,pair",
+        [(0.3, 0.3, (1, 2)), (0.35, 0.3, (1, 2)), (0.45, 0.3, (1, 2)),
+         (0.3, 0.4, (2, 3)), (0.3, 0.3, (1, 3))],
+    )
+    def test_zz_coupling_matches_full_eigh(self, phi_c1, phi_c2, pair):
+        got = zz_coupling(SPEC, phi_c1=phi_c1, phi_c2=phi_c2, pair=pair)
+        want = _zz_by_full_eigh(SPEC, phi_c1, phi_c2, pair)
+        # 1e-9 GHz: the energies in the difference are ~10 GHz
+        assert got == pytest.approx(want, abs=1e-9 * GHZ)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6))
+    def test_static_hamiltonian_is_parity_block_diagonal(self, couplings):
+        names = ("g1c1", "g2c1", "g2c2", "g3c2", "g12", "g23")
+        spec = replace(SPEC, **{k: g * GHZ for k, g in zip(names, couplings)})
+        h = device._Operators(spec).h_static
+        odd = _OCCUPATION % 2 == 1
+        assert not np.any(h[np.ix_(odd, ~odd)])
+        assert not np.any(h[np.ix_(~odd, odd)])
+
+    def test_parity_breaking_term_is_refused(self, monkeypatch):
+        # a single-mode drive (b + b^dag) on q1, folded into its number term
+        num = np.diag([0.0, 1.0, 2.0])
+        drive = np.diag(np.sqrt([1.0, 2.0]), 1)
+        real_mode_op = device._mode_op
+
+        def with_drive(op, mode):
+            if mode == 0 and np.allclose(op, num):
+                op = op + 1e-3 * (drive + drive.T)
+            return real_mode_op(op, mode)
+
+        monkeypatch.setattr(device, "_mode_op", with_drive)
+        with pytest.raises(ValueError, match="even and odd"):
+            device._Operators(SPEC)
+
+
+class TestOptimizeTrace:
+    def test_trace_records_wall_seconds(self):
+        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
+                          wd2=84.5 * MHZ, tau_final=10e-9)
+        res = optimize_pulse(SPEC, np.pi, cfg, budget=3,
+                             substeps_per_sample=2, nmax=3)
+        assert res.n_evaluations == 3
+        for row in res.trace:
+            assert len(row) == 8
+            assert 0 < row[7] < 60
