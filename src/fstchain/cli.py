@@ -191,8 +191,6 @@ def cmd_evolve(args, out: Path, t0: float) -> int:
 
 def cmd_verify_mapping(args, out: Path, t0: float) -> int:
     spec = _chain_spec(args)
-    if spec.tau is None and spec.j_max is None:
-        raise CliError("need tau or j_max", EXIT_BAD_INPUT)
     params = synthesize(spec)
     report = gates.verify_mapping(params, spec.theta)
     _write_result(
@@ -272,8 +270,15 @@ def cmd_speed_sweep(args, out: Path, t0: float) -> int:
 
 
 def cmd_parity(args, out: Path, t0: float) -> int:
+    if not 0 <= args.shots < 2**63:
+        raise CliError(f"--shots must be in 0..2^63-1, got {args.shots}", EXIT_VALIDATION)
     if args.state_file:
-        psi = state_from_json(Path(args.state_file).read_text())
+        try:
+            psi = state_from_json(Path(args.state_file).read_text())
+        except (OSError, TypeError, json.JSONDecodeError) as exc:
+            raise CliError(f"bad state file: {exc}", EXIT_BAD_INPUT) from None
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_VALIDATION) from None
     elif args.basis is not None:
         bits = args.basis.strip()
         if not set(bits) <= {"0", "1"}:

@@ -5,16 +5,20 @@ between the chain evolution and K_N = exp(-i (theta/2) G_N), compiles K_N
 into a fermionic-swap-network circuit of {FSWAP, iSWAP(theta)} layers, and
 evaluates the timing comparison between the two routes.
 
-Angle convention (the default everywhere): iSWAP(theta) is generated by
-the half-angle form exp(i (theta/4)(XX + YY)), whose swap block reads
-[[cos(theta/2), i sin(theta/2)], [i sin(theta/2), cos(theta/2)]].  The
-full-angle reading (cos(theta) entries) is available behind a flag.
+K_N is a product of commuting mirror-pair factors, each with at most two
+nonzeros per row; it and the circuit gates are applied to state vectors
+(or blocks of them) by index arithmetic and reshapes, never as dense
+products of 2^N x 2^N factors.
+
+Angle convention: iSWAP(theta) is generated by the half-angle form
+exp(i (theta/4)(XX + YY)), whose swap block reads
+[[cos(theta/2), i sin(theta/2)], [i sin(theta/2), cos(theta/2)]].
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +32,14 @@ __all__ = [
     "MappingReport",
     "iswap_matrix",
     "FSWAP",
+    "apply_local",
+    "apply_effective_gate",
     "build_generator",
     "effective_gate",
     "verify_mapping",
     "compile_decomposition",
     "decomposition_duration",
+    "gate_time",
     "speed_gain",
     "z_layer_equivalent",
 ]
@@ -40,17 +47,10 @@ __all__ = [
 GENERATOR_SITE_LIMIT = 12
 
 
-def iswap_matrix(angle: float, convention: str = "half") -> np.ndarray:
-    """4x4 iSWAP(angle) on two sites (basis |00>,|01>,|10>,|11>).
-
-    convention="half" (default): swap block entries cos(angle/2),
-    i sin(angle/2).  convention="full": the literal cos(angle)/sin(angle)
-    reading; kept only for comparison, nothing else in the package uses it.
-    """
-    half = angle / 2 if convention == "half" else angle
-    if convention not in ("half", "full"):
-        raise ValueError(f"unknown convention {convention!r}")
-    c, s = np.cos(half), np.sin(half)
+def iswap_matrix(angle: float) -> np.ndarray:
+    """4x4 iSWAP(angle) on two sites (basis |00>,|01>,|10>,|11>), with swap
+    block entries cos(angle/2), i sin(angle/2)."""
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
     m = np.eye(4, dtype=complex)
     m[1, 1] = m[2, 2] = c
     m[1, 2] = m[2, 1] = 1j * s
@@ -65,14 +65,27 @@ FSWAP = np.array(
 _SINGLE_QUBIT_KINDS = frozenset({"RzPhase", "PiFlipX", "HalfX", "HalfY"})
 
 
+def _check_j_max(j_max) -> None:
+    if j_max is None or not 0 < j_max < np.inf:
+        raise ValueError(f"j_max must be positive and finite, got {j_max!r}")
+
+
+def gate_time(kind: str, angle: float | None, j_max: float | None) -> float:
+    """Duration of one gate under the paper's two-qubit timing: ISwapTheta
+    takes |angle|/(2 j_max), FSwap takes pi/(2 j_max), single-qubit gates
+    are virtual (zero duration)."""
+    if kind in _SINGLE_QUBIT_KINDS:
+        return 0.0
+    if kind not in ("ISwapTheta", "FSwap"):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    _check_j_max(j_max)
+    return (abs(angle) if kind == "ISwapTheta" else np.pi) / (2 * j_max)
+
+
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: kind, 1-based target sites, optional angle, duration model.
-
-    Durations follow the paper's two-qubit timing: ISwapTheta takes
-    |angle|/(2 j_max), FSwap takes pi/(2 j_max), single-qubit gates are
-    virtual (zero duration).
-    """
+    """One gate: kind, 1-based target sites, optional angle, and the
+    coupling budget j_max that sets its duration (see gate_time)."""
 
     kind: str
     targets: tuple
@@ -81,13 +94,7 @@ class GateOp:
 
     @property
     def duration(self) -> float:
-        if self.kind == "ISwapTheta":
-            return abs(self.angle) / (2 * self.j_max)
-        if self.kind == "FSwap":
-            return np.pi / (2 * self.j_max)
-        if self.kind in _SINGLE_QUBIT_KINDS:
-            return 0.0
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        return gate_time(self.kind, self.angle, self.j_max)
 
     def matrix(self) -> np.ndarray:
         if self.kind == "ISwapTheta":
@@ -112,7 +119,8 @@ def _half_rotation(pauli: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Layered circuit; gates within a layer act on disjoint sites."""
+    """Layered circuit; gates within a layer act on disjoint sites, and a
+    two-site gate acts on adjacent sites (p, p+1)."""
 
     n_sites: int
     layers: tuple
@@ -121,9 +129,17 @@ class Circuit:
         for layer in self.layers:
             seen = set()
             for g in layer:
-                if seen & set(g.targets):
+                t = tuple(g.targets)
+                width = 1 if g.kind in _SINGLE_QUBIT_KINDS else 2
+                p = t[0] if t else 0
+                if t != tuple(range(p, p + width)) or not 1 <= p <= self.n_sites - width + 1:
+                    raise ValueError(
+                        f"{g.kind} on sites {t}: needs {width} adjacent site(s) "
+                        f"in 1..{self.n_sites}"
+                    )
+                if seen & set(t):
                     raise ValueError("overlapping gates within a layer")
-                seen |= set(g.targets)
+                seen |= set(t)
 
     @property
     def total_duration(self) -> float:
@@ -140,7 +156,7 @@ class Circuit:
         u = np.eye(2**self.n_sites, dtype=complex)
         for layer in self.layers:
             for g in layer:
-                u = _embed(g.matrix(), g.targets, self.n_sites) @ u
+                u = apply_local(u, g.matrix(), g.targets[0])
         return u
 
     def to_json(self) -> str:
@@ -164,75 +180,64 @@ class Circuit:
         )
 
 
-def _embed(gate: np.ndarray, targets: tuple, n_sites: int) -> np.ndarray:
-    """Embed a 1- or 2-site gate at the given 1-based sites (site 1 = MSB).
-    Two-site gates must act on adjacent sites."""
-    if len(targets) == 1:
-        p = targets[0]
-        return np.kron(
-            np.kron(np.eye(2 ** (p - 1)), gate), np.eye(2 ** (n_sites - p))
-        )
-    p, q = targets
-    if q != p + 1:
-        raise ValueError("two-site gates must act on adjacent sites")
-    return np.kron(
-        np.kron(np.eye(2 ** (p - 1)), gate), np.eye(2 ** (n_sites - p - 1))
-    )
+def apply_local(x: np.ndarray, gate: np.ndarray, site: int) -> np.ndarray:
+    """Apply a d x d gate (d = 2 or 4) on the 1-based site(s) site[, site+1]
+    (site 1 = MSB) to a 2^N vector or to each column of a 2^N x m block."""
+    d = gate.shape[0]
+    shaped = x.reshape(2 ** (site - 1), d, -1)
+    return np.einsum("ab,ibj->iaj", gate, shaped).reshape(x.shape)
 
 
-def _pair_factor(n: int, a: int, theta: float) -> np.ndarray:
-    """exp(-i (theta/2) (sigma+_a Z..Z sigma-_b + h.c.)) for b = N+1-a,
-    built directly from its sparse action (cos on the diagonal of flipped
-    pairs, -i sin times the Z-string parity off the diagonal)."""
-    b = n + 1 - a
-    dim = 2**n
-    idx = np.arange(dim)
-    bit_a = (idx >> (n - a)) & 1
-    bit_b = (idx >> (n - b)) & 1
-    active = bit_a != bit_b
-    partner = idx ^ ((1 << (n - a)) | (1 << (n - b)))
-    zmask = 0
-    for k in range(a + 1, b):
-        zmask |= 1 << (n - k)
-    # parity of the Z string between the pair
-    par = 1 - 2 * (np.bitwise_count(idx & zmask) & 1).astype(float)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    f = np.zeros((dim, dim), dtype=complex)
-    f[idx, idx] = np.where(active, c, 1.0)
-    f[idx[active], partner[active]] = -1j * s * par[active]
-    return f
+def _mirror_pairs(n_sites: int):
+    """The mirror-pair terms of G_N as index arithmetic on 2^N basis indices.
+
+    For each pair (a, b = N+1-a), yields the rows whose bits a and b differ,
+    the row each of them exchanges with (both bits flipped), and the parity
+    sign (+1/-1) of the Z string on the sites strictly between a and b.
+    """
+    idx = np.arange(2**n_sites)
+    for a in range(1, n_sites // 2 + 1):
+        bit_a, bit_b = 1 << (n_sites - a), 1 << (a - 1)
+        active = idx[((idx & bit_a) == 0) != ((idx & bit_b) == 0)]
+        between = bit_a - 2 * bit_b
+        par = 1 - 2 * (np.bitwise_count(active & between) & 1).astype(float)
+        yield active, active ^ (bit_a | bit_b), par
 
 
 def build_generator(n_sites: int) -> np.ndarray:
     """G_N: sum over mirror pairs of sigma+_n Z..Z sigma-_{N+1-n} + h.c."""
     if n_sites > GENERATOR_SITE_LIMIT:
         raise ValueError(f"generator limited to N <= {GENERATOR_SITE_LIMIT}")
-    dim = 2**n_sites
-    idx = np.arange(dim)
-    g = np.zeros((dim, dim), dtype=complex)
-    for a in range(1, n_sites // 2 + 1):
-        b = n_sites + 1 - a
-        bit_a = (idx >> (n_sites - a)) & 1
-        bit_b = (idx >> (n_sites - b)) & 1
-        active = bit_a != bit_b
-        partner = idx ^ ((1 << (n_sites - a)) | (1 << (n_sites - b)))
-        zmask = 0
-        for k in range(a + 1, b):
-            zmask |= 1 << (n_sites - k)
-        par = 1 - 2 * (np.bitwise_count(idx & zmask) & 1).astype(float)
-        g[idx[active], partner[active]] += par[active]
+    g = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for active, partner, par in _mirror_pairs(n_sites):
+        g[active, partner] = par
     return g
 
 
+def apply_effective_gate(x: np.ndarray, theta: float) -> np.ndarray:
+    """K_N x with K_N = exp(-i (theta/2) G_N), for a 2^N vector or a 2^N x m
+    block x (x itself is left unchanged).
+
+    The mirror-pair factors commute; each acts on its active rows as
+    cos(theta/2) x[row] - i sin(theta/2) parity x[partner], and leaves the
+    other rows alone.
+    """
+    n = x.shape[0].bit_length() - 1
+    if x.shape[0] != 2**n:
+        raise ValueError(f"leading dimension {x.shape[0]} is not a power of two")
+    y = np.array(x, dtype=complex)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    for active, partner, par in _mirror_pairs(n):
+        par = par.reshape((-1,) + (1,) * (y.ndim - 1))
+        y[active] = c * y[active] - 1j * s * par * y[partner]
+    return y
+
+
 def effective_gate(n_sites: int, theta: float) -> np.ndarray:
-    """K_N = exp(-i (theta/2) G_N), as the product of its commuting
-    mirror-pair factors (exact, no matrix exponential needed)."""
+    """K_N = exp(-i (theta/2) G_N) as a dense 2^N x 2^N matrix."""
     if n_sites > GENERATOR_SITE_LIMIT:
         raise ValueError(f"gate limited to N <= {GENERATOR_SITE_LIMIT}")
-    k = np.eye(2**n_sites, dtype=complex)
-    for a in range(1, n_sites // 2 + 1):
-        k = _pair_factor(n_sites, a, theta) @ k
-    return k
+    return apply_effective_gate(np.eye(2**n_sites, dtype=complex), theta)
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,7 @@ def verify_mapping(
 _HOLE = 0  # ghost rider marking the empty slot of odd chains
 
 
-def _bounce_layers(n: int, theta: float):
+def _bounce_layers(n: int):
     """Schedule of the swap network: brick-wall odd-even transposition of
     the folded ordering toward full reversal.
 
@@ -280,7 +285,7 @@ def _bounce_layers(n: int, theta: float):
     trajectories emits an FSWAP, except when the two riders form a mirror
     pair (a + b = N + 1): the pair interacts via iSWAP(-theta) and the
     riders bounce (exchange trajectories with no physical swap).  Hole
-    crossings emit nothing.  Returns layers of ("iswap"|"fswap", bond)
+    crossings emit nothing.  Returns layers of ("ISwapTheta"|"FSwap", bond)
     with 0-based physical bonds.
     """
     odd = n % 2
@@ -307,18 +312,16 @@ def _bounce_layers(n: int, theta: float):
                 hole_slot = p + 1 if hole_slot == p else p
             elif ri + rj == n + 1:
                 # mirror pair meets: interact and bounce, no physical swap
-                layer.append(("iswap", bond))
+                layer.append(("ISwapTheta", bond))
                 rider_of[vi], rider_of[vj] = rj, ri
             else:
-                layer.append(("fswap", bond))
+                layer.append(("FSwap", bond))
             virt[p], virt[p + 1] = vj, vi
         if layer:
             layers.append(layer)
-        elif not layers:
-            layers.append(layer)  # unreachable; keeps loop honest
         if len(layers) > 3 * m:
             raise RuntimeError("swap network failed to converge")
-    return [lay for lay in layers if lay]
+    return layers
 
 
 def compile_decomposition(
@@ -329,22 +332,23 @@ def compile_decomposition(
     Gate counts: N even -> N^2/2 - N FSWAPs + N/2 iSWAPs; N odd ->
     (N-1)^2/2 FSWAPs + (N-1)/2 iSWAPs.  The circuit equals K_N up to a
     final single-qubit Z layer; this is verified for N <= 6 (or always
-    when verify=True) and a failure aborts compilation.
+    when verify=True) and a failure aborts compilation.  theta must be
+    finite and j_max positive and finite.
     """
     if n_sites < 3:
         raise ValueError("decomposition defined for N >= 3")
-    layers = []
-    for raw in _bounce_layers(n_sites, theta):
-        layer = []
-        for kind, bond in raw:
-            if kind == "iswap":
-                layer.append(
-                    GateOp("ISwapTheta", (bond + 1, bond + 2), -theta, j_max)
-                )
-            else:
-                layer.append(GateOp("FSwap", (bond + 1, bond + 2), None, j_max))
-        layers.append(tuple(layer))
-    circuit = Circuit(n_sites=n_sites, layers=tuple(layers))
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    _check_j_max(j_max)
+    layers = tuple(
+        tuple(
+            GateOp(kind, (bond + 1, bond + 2),
+                   -theta if kind == "ISwapTheta" else None, j_max)
+            for kind, bond in raw
+        )
+        for raw in _bounce_layers(n_sites)
+    )
+    circuit = Circuit(n_sites=n_sites, layers=layers)
     if verify is None:
         verify = n_sites <= 6
     if verify:
@@ -361,12 +365,8 @@ def compile_decomposition(
 
 def decomposition_duration(n_sites: int, theta: float, j_max: float) -> float:
     """total_duration of compile_decomposition without building GateOps."""
-    total = 0.0
-    t_iswap = abs(theta) / (2 * j_max)
-    t_fswap = np.pi / (2 * j_max)
-    for layer in _bounce_layers(n_sites, theta):
-        total += max(t_fswap if k == "fswap" else t_iswap for k, _ in layer)
-    return total
+    times = {kind: gate_time(kind, -theta, j_max) for kind in ("ISwapTheta", "FSwap")}
+    return sum(max(times[kind] for kind, _ in layer) for layer in _bounce_layers(n_sites))
 
 
 def speed_gain(n_sites: int, theta: float, j_max: float = 1.0) -> float:

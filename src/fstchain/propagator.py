@@ -177,7 +177,7 @@ def sector_apply(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
     return np.linalg.det(u) * sign * holes_out[::-1]
 
 
-def lift_to_full(u: np.ndarray, tol_unitary: float = 1e-9) -> np.ndarray:
+def lift_to_full(u: np.ndarray) -> np.ndarray:
     """Lift a single-particle unitary to the full 2^N space via Slater
     determinants.  Block diagonal in total excitation number."""
     n = u.shape[0]

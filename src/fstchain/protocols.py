@@ -10,16 +10,13 @@ excitation-number parity of the register.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
 from .propagator import (
-    LIFT_SITE_LIMIT,
-    extract_transfer_phase,
-    lift_to_full,
+    STATE_VECTOR_LIMIT,
     sector_apply,
     sector_indices,
     single_propagator,
@@ -34,7 +31,6 @@ __all__ = [
     "correlator_measure",
     "run_scenario",
     "repeated_parity",
-    "k_pi_gate",
     "populations_csv",
 ]
 
@@ -47,39 +43,12 @@ _BASIS_CHANGE = {
 }
 
 
-@lru_cache(maxsize=8)
-def k_pi_gate(n_sites: int) -> np.ndarray:
-    """K_N at theta=pi via the determinant lift of the PST propagator.
-
-    Synthesizes the theta=pi chain, lifts its propagator at t=tau, and
-    removes the transfer phase (phi per excitation, pi/2 on the middle
-    site of odd chains) so the result is exactly exp(-i (pi/2) G_N).
-    """
-    if n_sites > LIFT_SITE_LIMIT:
-        raise ValueError(f"k_pi_gate limited to N <= {LIFT_SITE_LIMIT}")
-    params = synthesize(ChainSpec(n_sites=n_sites, theta=np.pi, tau=1.0))
-    u1 = single_propagator(params, params.tau)
-    phi = extract_transfer_phase(u1, np.pi)
-    full = lift_to_full(u1)
-    idx = np.arange(2**n_sites)
-    phase = phi * np.bitwise_count(idx).astype(float)
-    if n_sites % 2 == 1:
-        phase = phase + (np.pi / 2) * ((idx >> (n_sites - (n_sites + 1) // 2)) & 1)
-    return full * np.exp(1j * phase)[np.newaxis, :]
-
-
 @dataclass(frozen=True)
 class ParityProtocolResult:
     left_ancilla_one_probability: float
     inferred_parity: str  # "even" | "odd"
     post_state: np.ndarray  # full (N+2)-site state, site 1 = left ancilla
     protocol_duration: float
-
-
-def _apply_single(psi: np.ndarray, gate2: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Apply a one-qubit gate at the 1-based site of an n-site state."""
-    shaped = psi.reshape(2 ** (site - 1), 2, 2 ** (n - site))
-    return np.einsum("ab,ibj->iaj", gate2, shaped).reshape(-1)
 
 
 def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
@@ -90,11 +59,14 @@ def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
     full post-protocol state on N+2 sites, and the protocol duration
     ((N+2)/2) * tau_iSWAP with tau_iSWAP = pi/(2 j_max).
     """
-    n = int(np.log2(psi.size))
+    n = psi.size.bit_length() - 1
     if psi.shape != (2**n,):
         raise ValueError("state size is not a power of two")
-    if n + 2 > LIFT_SITE_LIMIT:
-        raise ValueError(f"register too large: N + 2 must be <= {LIFT_SITE_LIMIT}")
+    if 2 ** (n + 2) > STATE_VECTOR_LIMIT:
+        raise ValueError(
+            f"register too large: 2^(N+2) = {2 ** (n + 2)} entries "
+            f"(limit {STATE_VECTOR_LIMIT})"
+        )
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("input state is not normalized")
     m = n + 2
@@ -103,9 +75,9 @@ def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
     ext[0 : 2 ** (m - 1) : 2] = psi  # L bit 0 (MSB), R bit 0 (LSB)
     half_y = gates.GateOp("HalfY", (m,)).matrix()
     half_x = gates.GateOp("HalfX", (1,)).matrix()
-    ext = _apply_single(ext, half_y, m, m)
-    ext = k_pi_gate(m) @ ext
-    ext = _apply_single(ext, half_x, 1, m)
+    ext = gates.apply_local(ext, half_y, m)
+    ext = gates.apply_effective_gate(ext, np.pi)
+    ext = gates.apply_local(ext, half_x, 1)
     # probability that the left ancilla (MSB) reads 1
     p_one = float(np.clip(np.sum(np.abs(ext[2 ** (m - 1) :]) ** 2), 0.0, 1.0))
     duration = (m / 2) * np.pi / (2 * j_max)
@@ -132,7 +104,7 @@ def correlator_measure(psi: np.ndarray, paulis, j_max: float = 1.0) -> float:
             v = _BASIS_CHANGE[p.upper()]
         except KeyError:
             raise ValueError(f"unknown Pauli {p!r}") from None
-        rotated = _apply_single(rotated, v, site, n)
+        rotated = gates.apply_local(rotated, v, site)
     result = parity_measure(rotated, j_max=j_max)
     p_odd = 1.0 - result.left_ancilla_one_probability
     return 1.0 - 2.0 * p_odd

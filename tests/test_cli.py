@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fstchain.cli import (
     EXIT_BAD_INPUT,
@@ -198,6 +203,16 @@ class TestDecomposeAndSweep:
                      "--theta", "pi", "--j-max", "1e6"])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("j_max", ["0", "-1", "nan", "inf"])
+    def test_decompose_rejects_bad_j_max(self, tmp_path, capsys, j_max):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "decompose", "--n", "5",
+                     "--theta", "0.5pi", "--j-max", j_max])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: j_max") and err.count("\n") == 1
+        assert not (out / "circuit.json").exists()
+
     def test_speed_sweep(self, tmp_path):
         out = tmp_path / "o"
         code = main(["--out", str(out), "speed-sweep", "--n", "5..10",
@@ -260,6 +275,28 @@ class TestParity:
     def test_oversized_basis_refused(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "0" * 40])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "content,code",
+        [(None, EXIT_BAD_INPUT), ("[[1, 0],", EXIT_BAD_INPUT),
+         ("[[1, 0], [0, 0], [0, 0]]", EXIT_VALIDATION), ("[]", EXIT_VALIDATION)],
+    )
+    def test_bad_state_file(self, tmp_path, capsys, content, code):
+        path = tmp_path / "state.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "parity", "--state-file", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("shots", ["-3", str(2**63)])
+    def test_bad_shots(self, tmp_path, capsys, shots):
+        code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "01",
+                     "--shots", shots])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --shots")
 
 
 class TestScenario:
@@ -351,6 +388,41 @@ class TestDeviceZZScan:
         lines = (out / "zz_scan.csv").read_text().strip().split("\n")
         assert lines[0] == "phi,zeta12,zeta23"
         assert len(lines) == 8
+
+
+_ANGLES = st.sampled_from(
+    ["pi", "0.5pi", "0.1pi", "1.3", "0", "-0.4", "2pi", "nan", "inf", "1e-9", "x"]
+)
+_FLOATS = st.sampled_from(["1", "1e6", "0", "-1", "nan", "inf", "1e-300", "abc"])
+
+
+@st.composite
+def _cli_argv(draw):
+    """Arguments for parity, decompose or speed-sweep, sizes kept small."""
+    command = draw(st.sampled_from(["parity", "decompose", "speed-sweep"]))
+    if command == "parity":
+        basis = draw(st.text(alphabet="01", max_size=8) | st.sampled_from(["01a", " 1"]))
+        shots = draw(st.integers(-10, 10**6) | st.just(2**64))
+        return ["parity", "--basis", basis, "--shots", str(shots),
+                "--seed", str(draw(st.integers(0, 99)))]
+    if command == "decompose":
+        return ["decompose", "--n", str(draw(st.integers(-2, 9))),
+                "--theta", draw(_ANGLES), "--j-max", draw(_FLOATS)]
+    lo = draw(st.integers(0, 12))
+    hi = draw(st.integers(lo - 2, lo + 4))
+    rng = draw(st.sampled_from([f"{lo}..{hi}", str(lo), f"{lo}..", "a..b"]))
+    thetas = ",".join(draw(st.lists(_ANGLES, min_size=1, max_size=3)))
+    return ["speed-sweep", "--n", rng, "--theta", thetas]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main(["--out", tmp] + argv)
+    assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_VALIDATION, EXIT_TOLERANCE)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_command(tmp_path):

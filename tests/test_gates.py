@@ -2,20 +2,27 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fstchain.gates import (
     FSWAP,
     Circuit,
     GateOp,
+    apply_effective_gate,
     build_generator,
     compile_decomposition,
     decomposition_duration,
     effective_gate,
+    gate_time,
     iswap_matrix,
     speed_gain,
     verify_mapping,
     z_layer_equivalent,
 )
+from fstchain.propagator import basis_state
+from fstchain.protocols import parity_measure
 from fstchain.synthesis import ChainSpec, synthesize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +36,69 @@ def kron(*ops):
     for o in ops[1:]:
         out = np.kron(out, o)
     return out
+
+
+# Dense references: K_N as the product of its 2^N x 2^N mirror-pair
+# factors, G_N as a sum of Pauli-string kron products, and circuit gates
+# kron-embedded into the full space.
+
+
+def _dense_pair_factor(n, a, theta):
+    """exp(-i (theta/2) (sigma+_a Z..Z sigma-_b + h.c.)), b = N+1-a."""
+    b = n + 1 - a
+    idx = np.arange(2**n)
+    bit_a = (idx >> (n - a)) & 1
+    bit_b = (idx >> (n - b)) & 1
+    active = bit_a != bit_b
+    partner = idx ^ ((1 << (n - a)) | (1 << (n - b)))
+    zmask = 0
+    for k in range(a + 1, b):
+        zmask |= 1 << (n - k)
+    par = 1 - 2 * (np.bitwise_count(idx & zmask) & 1).astype(float)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    f = np.zeros((2**n, 2**n), dtype=complex)
+    f[idx, idx] = np.where(active, c, 1.0)
+    f[idx[active], partner[active]] = -1j * s * par[active]
+    return f
+
+
+def _dense_k(n, theta):
+    k = np.eye(2**n, dtype=complex)
+    for a in range(1, n // 2 + 1):
+        k = _dense_pair_factor(n, a, theta) @ k
+    return k
+
+
+def _kron_generator(n):
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
+    g = np.zeros((2**n, 2**n), dtype=complex)
+    for a in range(1, n // 2 + 1):
+        ops = [np.eye(2, dtype=complex)] * n
+        ops[a - 1], ops[n - a] = sp, sp.T.conj()
+        for k in range(a, n - a):
+            ops[k] = Z
+        t = kron(*ops)
+        g += t + t.conj().T
+    return g
+
+
+def _kron_embed(gate, targets, n):
+    p = targets[0]
+    width = int(np.log2(gate.shape[0]))
+    return kron(np.eye(2 ** (p - 1)), gate, np.eye(2 ** (n - p - width + 1)))
+
+
+def _kron_unitary(circuit):
+    u = np.eye(2**circuit.n_sites, dtype=complex)
+    for layer in circuit.layers:
+        for g in layer:
+            u = _kron_embed(g.matrix(), g.targets, circuit.n_sites) @ u
+    return u
+
+
+def _random_state(rng, shape):
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return x / np.linalg.norm(x, axis=0)
 
 
 class TestGenerator:
@@ -119,7 +189,8 @@ class TestEffectiveGate:
 class TestVerifyMapping:
     @pytest.mark.parametrize(
         "n,theta",
-        [(2, np.pi / 2), (5, np.pi / 2), (8, 0.3 * np.pi), (7, np.pi)],
+        [(2, np.pi / 2), (5, np.pi / 2), (8, 0.3 * np.pi)]
+        + [(n, np.pi) for n in range(2, 8)],
     )
     def test_examples(self, n, theta):
         params = synthesize(ChainSpec(n_sites=n, theta=theta, tau=1.0))
@@ -142,10 +213,6 @@ class TestGateOps:
         expected[1:3, 1:3] = [[0, 1j], [1j, 0]]
         np.testing.assert_allclose(m, expected, atol=1e-12)
 
-    def test_full_angle_convention_flag(self):
-        m = iswap_matrix(np.pi / 2, convention="full")
-        assert m[1, 1] == pytest.approx(np.cos(np.pi / 2), abs=1e-12)
-
     def test_fswap_identity(self):
         s = np.diag([1.0, 1j])
         np.testing.assert_allclose(
@@ -161,6 +228,28 @@ class TestGateOps:
             np.pi / (2 * j)
         )
         assert GateOp("HalfX", (1,)).duration == 0.0
+
+    @pytest.mark.parametrize("j_max", [0.0, -1.0, np.nan, np.inf, None])
+    @pytest.mark.parametrize("kind", ["ISwapTheta", "FSwap"])
+    def test_two_qubit_time_rejects_bad_j_max(self, kind, j_max):
+        with pytest.raises(ValueError, match="j_max"):
+            gate_time(kind, 0.5, j_max)
+
+    def test_single_qubit_gates_take_no_time(self):
+        assert gate_time("HalfY", None, None) == 0.0
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            gate_time("Toffoli", None, 1.0)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [GateOp("HalfX", (0,)), GateOp("HalfX", (4,)),
+         GateOp("FSwap", (3, 4), None, 1.0), GateOp("FSwap", (1, 3), None, 1.0),
+         GateOp("FSwap", (2, 1), None, 1.0), GateOp("FSwap", (1,), None, 1.0),
+         GateOp("HalfY", (1, 2))],
+    )
+    def test_bad_targets_rejected(self, gate):
+        with pytest.raises(ValueError):
+            Circuit(n_sites=3, layers=((gate,),))
 
     def test_layer_overlap_rejected(self):
         ops = (
@@ -228,6 +317,18 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             compile_decomposition(2, np.pi, 1.0)
 
+    @pytest.mark.parametrize("j_max", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_j_max_rejected(self, j_max):
+        with pytest.raises(ValueError, match="j_max"):
+            compile_decomposition(5, 0.5 * np.pi, j_max)
+        with pytest.raises(ValueError, match="j_max"):
+            decomposition_duration(5, 0.5 * np.pi, j_max)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            compile_decomposition(8, theta, 1.0)
+
 
 class TestSpeedGain:
     def test_fifteen_sites_full_transfer(self):
@@ -259,3 +360,93 @@ def test_z_layer_equivalent_rejects_non_factorizable():
     d[3] = np.exp(0.5j)  # |011>: breaks single-qubit factorization
     ok, _ = z_layer_equivalent(np.diag(d), np.eye(8, dtype=complex))
     assert not ok
+
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+class TestMatrixFreeAgainstDense:
+    """The index-arithmetic gate algebra against the dense references above,
+    to 1e-12."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_effective_gate_and_generator(self, n):
+        theta = 0.37 + 0.29 * n
+        assert np.abs(effective_gate(n, theta) - _dense_k(n, theta)).max() < 1e-12
+        assert np.abs(build_generator(n) - _kron_generator(n)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_effective_gate_is_exponential(self, n):
+        theta = 2.1
+        expected = scipy.linalg.expm(-1j * (theta / 2) * _kron_generator(n))
+        assert np.abs(effective_gate(n, theta) - expected).max() < 1e-12
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 9),
+        cols=st.sampled_from([None, 1, 3]),
+        theta=st.floats(-2 * np.pi, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_matches_dense_product(self, n, cols, theta, seed):
+        rng = np.random.default_rng(seed)
+        x = _random_state(rng, (2**n,) if cols is None else (2**n, cols))
+        before = x.copy()
+        got = apply_effective_gate(x, theta)
+        assert got.shape == x.shape
+        assert np.abs(got - _dense_k(n, theta) @ x).max() < 1e-12
+        assert np.array_equal(x, before)
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 8),
+        a=st.floats(-2 * np.pi, 2 * np.pi),
+        b=st.floats(-2 * np.pi, 2 * np.pi),
+    )
+    def test_composition_and_unitarity(self, n, a, b):
+        ka, kb = effective_gate(n, a), effective_gate(n, b)
+        assert np.abs(ka @ kb - effective_gate(n, a + b)).max() < 1e-12
+        assert np.abs(ka.conj().T @ ka - np.eye(2**n)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_generator_invariant_under_site_reversal(self, n):
+        idx = np.arange(2**n)
+        rev = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n))
+        g = build_generator(n)
+        assert np.abs(g[np.ix_(rev, rev)] - g).max() == 0.0
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            apply_effective_gate(np.ones(6, dtype=complex), 1.0)
+
+    @PROPERTY
+    @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+    def test_circuit_unitary_matches_kron_embedding(self, n, seed):
+        rng = np.random.default_rng(seed)
+        single = ("RzPhase", "PiFlipX", "HalfX", "HalfY")
+        layers = []
+        for _ in range(6):
+            site, layer = 1, []
+            while site <= n:
+                pick = int(rng.integers(3))
+                if pick == 0 and site < n:
+                    kind = "ISwapTheta" if rng.random() < 0.5 else "FSwap"
+                    layer.append(GateOp(kind, (site, site + 1), float(rng.normal()), 1.0))
+                    site += 2
+                else:
+                    if pick == 1:
+                        kind = single[int(rng.integers(4))]
+                        layer.append(GateOp(kind, (site,), float(rng.normal())))
+                    site += 1
+            layers.append(tuple(layer))
+        circuit = Circuit(n_sites=n, layers=tuple(layers))
+        assert np.abs(circuit.unitary() - _kron_unitary(circuit)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_parity_on_registers_past_the_old_limit(self, n):
+        rng = np.random.default_rng(n)
+        psi = _random_state(rng, (2**n,))
+        even = np.bitwise_count(np.arange(2**n)) % 2 == 0
+        got = parity_measure(psi).left_ancilla_one_probability
+        assert abs(got - np.sum(np.abs(psi[even]) ** 2)) < 1e-12
+        assert parity_measure(basis_state(n, [1, n])).inferred_parity == "even"

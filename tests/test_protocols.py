@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from fstchain.propagator import basis_state
 from fstchain.protocols import (
     Scenario,
     correlator_measure,
-    k_pi_gate,
     parity_measure,
     populations_csv,
     repeated_parity,
@@ -17,11 +18,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI = {"X": X, "Y": Y, "Z": Z}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-def test_k_pi_gate_matches_effective_gate(n):
-    assert np.abs(k_pi_gate(n) - gates.effective_gate(n, np.pi)).max() < 1e-8
 
 
 class TestParityMeasure:
@@ -91,8 +87,17 @@ class TestParityMeasure:
             parity_measure(np.ones(4, dtype=complex))
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            parity_measure(basis_state(11, []))
+        # 22 qubits run (2^24 entries with the ancillas); 23 are refused
+        # before the extended state is allocated
+        psi = basis_state(23, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="register too large"):
+                parity_measure(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCorrelator:
