@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fstchain import gates
-from fstchain.propagator import basis_state
+from fstchain.propagator import (
+    basis_state,
+    extract_transfer_phase,
+    lift_to_full,
+    single_propagator,
+)
 from fstchain.protocols import (
     Scenario,
     correlator_measure,
@@ -13,12 +18,29 @@ from fstchain.protocols import (
     repeated_parity,
     run_scenario,
 )
+from fstchain.synthesis import ChainSpec, synthesize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI = {"X": X, "Y": Y, "Z": Z}
 
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_k_pi_gate_matches_effective_gate(n):
+    # K_pi realised by the synthesized theta=pi chain (determinant lift of
+    # its propagator, transfer phase removed) is the gate the parity
+    # protocol applies by index arithmetic
+    params = synthesize(ChainSpec(n_sites=n, theta=np.pi, tau=1.0))
+    u1 = single_propagator(params, params.tau)
+    phi = extract_transfer_phase(u1, np.pi)
+    idx = np.arange(2**n)
+    phase = phi * np.bitwise_count(idx).astype(float)
+    if n % 2 == 1:
+        phase = phase + (np.pi / 2) * ((idx >> (n - (n + 1) // 2)) & 1)
+    k_chain = lift_to_full(u1) * np.exp(1j * phase)[np.newaxis, :]
+    k_applied = gates.apply_effective_gate(np.eye(2**n, dtype=complex), np.pi)
+    assert np.abs(k_chain - k_applied).max() < 1e-8
 
 class TestParityMeasure:
     def test_vacuum_literal_output(self):
