@@ -250,7 +250,8 @@ def cmd_speed_sweep(args, out: Path, t0: float) -> int:
             t_fst = synthesis.solve_gate_time(spec)
             t_dec = gates.decomposition_duration(n, theta, 1.0)
             even = n % 2 == 0
-            asym_sqrt3 = np.sqrt(3) * n / np.sqrt(n**2 - 4) if even else float("nan")
+            # sqrt(3) N / sqrt(N^2 - 4) is the even-N asymptote for N > 2 only
+            asym_sqrt3 = np.sqrt(3) * n / np.sqrt(n**2 - 4) if even and n > 2 else float("nan")
             rows.append(
                 (n, "even" if even else "odd", float(theta), float(t_fst),
                  float(t_dec), float(t_dec / t_fst), float(asym_sqrt3), 2.0)
@@ -349,7 +350,10 @@ def _device_spec(args) -> device.DeviceSpec:
 def cmd_device_optimize(args, out: Path, t0: float) -> int:
     spec = _device_spec(args)
     theta = parse_angle(args.theta)
-    seed_cfg = device.seed_pulse_config(spec, theta, args.tau_final)
+    try:
+        seed_cfg = device.seed_pulse_config(spec, theta, args.tau_final)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from None
     res = device.optimize_pulse(
         spec, theta, seed_cfg, budget=args.budget, method=args.method
     )
@@ -376,6 +380,10 @@ def cmd_device_optimize(args, out: Path, t0: float) -> int:
 
 
 def cmd_device_zz_scan(args, out: Path, t0: float) -> int:
+    if not 1 <= args.points <= 10**6:
+        raise CliError(f"--points must be in 1..10^6, got {args.points}", EXIT_VALIDATION)
+    if not np.isfinite([args.phi_min, args.phi_max]).all():
+        raise CliError("--phi-min and --phi-max must be finite", EXIT_VALIDATION)
     spec = _device_spec(args)
     phis = np.linspace(args.phi_min, args.phi_max, args.points)
     rows = []

@@ -65,9 +65,13 @@ FSWAP = np.array(
 _SINGLE_QUBIT_KINDS = frozenset({"RzPhase", "PiFlipX", "HalfX", "HalfY"})
 
 
-def _check_j_max(j_max) -> None:
+def _check_j_max(j_max, angle=None) -> None:
+    """j_max must be positive and finite, and so must the longest gate time
+    it sets: an FSwap's, or an iSWAP's of |angle| > pi."""
     if j_max is None or not 0 < j_max < np.inf:
         raise ValueError(f"j_max must be positive and finite, got {j_max!r}")
+    if max(abs(float(angle or 0.0)), np.pi) / (2 * float(j_max)) == np.inf:
+        raise ValueError(f"j_max {j_max!r} is too small: gate times overflow")
 
 
 def gate_time(kind: str, angle: float | None, j_max: float | None) -> float:
@@ -78,7 +82,7 @@ def gate_time(kind: str, angle: float | None, j_max: float | None) -> float:
         return 0.0
     if kind not in ("ISwapTheta", "FSwap"):
         raise ValueError(f"unknown gate kind {kind!r}")
-    _check_j_max(j_max)
+    _check_j_max(j_max, angle)
     return (abs(angle) if kind == "ISwapTheta" else np.pi) / (2 * j_max)
 
 
@@ -339,7 +343,7 @@ def compile_decomposition(
         raise ValueError("decomposition defined for N >= 3")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    _check_j_max(j_max)
+    _check_j_max(j_max, theta)
     layers = tuple(
         tuple(
             GateOp(kind, (bond + 1, bond + 2),

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstchain import device
 from fstchain.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -203,7 +205,7 @@ class TestDecomposeAndSweep:
                      "--theta", "pi", "--j-max", "1e6"])
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("j_max", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("j_max", ["0", "-1", "nan", "inf", "1e-320"])
     def test_decompose_rejects_bad_j_max(self, tmp_path, capsys, j_max):
         out = tmp_path / "o"
         code = main(["--out", str(out), "decompose", "--n", "5",
@@ -233,6 +235,14 @@ class TestDecomposeAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "speed_sweep.csv").exists()
+
+    def test_speed_sweep_n2_asymptote_is_nan(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "speed-sweep", "--n", "2..4", "--theta", "pi"]) == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "speed_sweep.csv").read_text().strip().split("\n")[1:]]
+        assert rows[0][6] == rows[1][6] == "nan"
+        assert float(rows[2][6]) == pytest.approx(np.sqrt(3) * 4 / np.sqrt(12))
 
     def test_speed_sweep_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -378,6 +388,38 @@ class TestDeviceOptimize:
         assert all(float(line.split(",")[-1]) > 0 for line in lines[1:])
 
 
+class TestDeviceBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta", "0"], ["--theta", "-1"], ["--theta", "nan"],
+         ["--theta", "pi", "--tau-final", "-1"], ["--theta", "pi", "--tau-final", "0"],
+         ["--theta", "pi", "--tau-final", "nan"], ["--theta", "pi", "--tau-final", "1e-12"]],
+    )
+    def test_optimize_refused_before_propagation(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(device, "propagate", _no_propagation)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "device-optimize"] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--points", "-1"], ["--points", "0"], ["--points", str(10**12)],
+         ["--phi-min", "nan"], ["--phi-max", "inf"]],
+    )
+    def test_zz_scan_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "device-zz-scan"] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _no_propagation(*args, **kwargs):
+    raise AssertionError("refused input reached the propagator")
+
+
 class TestDeviceZZScan:
     def test_scan_finds_sign_change(self, tmp_path):
         out = tmp_path / "o"
@@ -398,8 +440,22 @@ _FLOATS = st.sampled_from(["1", "1e6", "0", "-1", "nan", "inf", "1e-300", "abc"]
 
 @st.composite
 def _cli_argv(draw):
-    """Arguments for parity, decompose or speed-sweep, sizes kept small."""
-    command = draw(st.sampled_from(["parity", "decompose", "speed-sweep"]))
+    """Arguments for parity, decompose, speed-sweep or device-zz-scan, sizes
+    kept small, and for device-optimize with the angle or the gate length
+    out of range."""
+    command = draw(st.sampled_from(
+        ["parity", "decompose", "speed-sweep", "device-zz-scan", "device-optimize"]
+    ))
+    if command == "device-zz-scan":
+        phis = st.sampled_from(["0", "0.3", "0.45", "-1", "2", "1e300", "nan", "inf", "x"])
+        points = st.sampled_from(["-1", "0", "1", "2", "3", str(10**7), "2.5"])
+        return ["device-zz-scan", "--phi-min", draw(phis), "--phi-max", draw(phis),
+                "--points", draw(points)]
+    if command == "device-optimize":
+        bad_theta = st.sampled_from(["0", "-0.4", "2pi", "nan", "inf", "x"])
+        bad_tau = st.sampled_from(["0", "-1", "-212e-9", "nan", "inf", "1e-12", "abc"])
+        theta, tau = draw(st.sampled_from([(bad_theta, _FLOATS), (_ANGLES, bad_tau)]))
+        return ["device-optimize", "--theta", draw(theta), "--tau-final", draw(tau)]
     if command == "parity":
         basis = draw(st.text(alphabet="01", max_size=8) | st.sampled_from(["01a", " 1"]))
         shots = draw(st.integers(-10, 10**6) | st.just(2**64))
@@ -419,7 +475,8 @@ def _cli_argv(draw):
 @given(argv=_cli_argv())
 def test_cli_fuzz_exits_cleanly(argv):
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            mock.patch.object(device, "propagate", _no_propagation):
         code = main(["--out", tmp] + argv)
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_VALIDATION, EXIT_TOLERANCE)
     assert "Traceback" not in err.getvalue()

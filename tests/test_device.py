@@ -229,6 +229,31 @@ class TestSidebandCoupling:
                 j, rel=1e-9
             )
 
+    @pytest.mark.parametrize("coupler", [1, 2])
+    @pytest.mark.parametrize("amp", [0.0, 1e-4, 0.048, 0.15])
+    def test_matches_pointwise_loop(self, coupler, amp):
+        # the per-point loop over the flux grid, one swt_effective_params
+        # call each, as the reference for the vectorised grid
+        key = "g12" if coupler == 1 else "g23"
+        x = np.linspace(0.0, 2 * np.pi, 1025)[:-1]
+        vals = [swt_effective_params(SPEC, **{f"phi_c{coupler}": p})[key]
+                for p in (SPEC.phi_dc1 if coupler == 1 else SPEC.phi_dc2)
+                + amp * np.cos(x)]
+        want = float(np.mean(np.array(vals) * np.exp(-1j * x)).real)
+        assert sideband_coupling(SPEC, coupler, amp) == pytest.approx(
+            want, rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "theta,tau_final",
+        [(0.0, 212e-9), (-1.0, 212e-9), (4.0, 212e-9), (np.nan, 212e-9),
+         (np.pi, 0.0), (np.pi, -1.0), (np.pi, np.nan), (np.pi, np.inf),
+         (np.pi, 1e-12)],
+    )
+    def test_seed_refuses_bad_input(self, theta, tau_final):
+        with pytest.raises(ValueError):
+            seed_pulse_config(SPEC, theta, tau_final)
+
     def test_seed_reference_values(self):
         cfg = seed_pulse_config(SPEC, np.pi, tau_final=212e-9)
         assert cfg.amp1 == pytest.approx(0.0482063, abs=1e-5)
@@ -542,6 +567,90 @@ class TestParityBlocks:
         monkeypatch.setattr(device, "_mode_op", with_drive)
         with pytest.raises(ValueError, match="even and odd"):
             device._Operators(SPEC)
+
+
+# ------------------------------------------------ Chebyshev half-step
+
+
+class TestChebyshevStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 90),
+        m=st.integers(1, 16),
+        dt=st.floats(0.01, 3.0),
+        offset=st.floats(-100.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigh_on_random_blocks(self, d, m, dt, offset, seed):
+        # a random real symmetric h0 plus a shifted diagonal and two
+        # non-negative number-like diagonals, as in the device blocks; the
+        # Gershgorin radius times dt reaches about 30
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d)) / np.sqrt(d)
+        h0 = a + a.T + 2 * offset * np.eye(d)
+        nc1 = rng.integers(0, 3, size=d).astype(float)
+        nc2 = rng.integers(0, 3, size=d).astype(float)
+        alpha, beta = rng.normal(size=(2, 5, 2))
+        widths = np.array([dt, 0.5 * dt])
+        step, _ = device._chebyshev_stepper(h0, nc1, nc2, alpha, beta, widths)
+        x = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
+        for (al, be), width in zip(zip(alpha.flat, beta.flat), np.resize(widths, 10)):
+            w, v = np.linalg.eigh(0.5 * h0 + np.diag(al * nc1 + be * nc2))
+            want = (v * np.exp(-1j * w * width)) @ (v.conj().T @ x)
+            got = step(al, be, width, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+
+    def test_exact_on_a_tight_interval(self):
+        # h = 15 sigma_x: its spectrum +-15 is its Gershgorin interval, so
+        # an interval any narrower leaves the range where T_k is bounded
+        h0 = np.array([[0.0, 30.0], [30.0, 0.0]])
+        zeros, no_drive = np.zeros(2), np.zeros((1, 2))
+        step, terms = device._chebyshev_stepper(h0, zeros, zeros, no_drive, no_drive,
+                                                np.array([2.0]))
+        got = step(0.0, 0.0, 2.0, np.array([[1.0], [0.0]], dtype=complex))
+        assert terms > 30
+        assert np.abs(got - [[np.cos(30.0)], [-1j * np.sin(30.0)]]).max() < 1e-12
+
+    @staticmethod
+    def _propagate_forced(monkeypatch, chebyshev, cfg, nmax, columns):
+        monkeypatch.setattr(device, "_chebyshev_is_cheaper", lambda *a: chebyshev)
+        return propagate(SPEC, cfg, 4, nmax=nmax, columns=columns)
+
+    def test_both_steppers_agree_on_a_50ns_pulse(self, monkeypatch):
+        cfg = PulseConfig(amp1=0.0482063, amp2=0.0485842, wd1=59.5016 * MHZ,
+                          wd2=84.4585 * MHZ, tau_final=50e-9)
+        cols = dressed_basis(SPEC, 5)
+        by_eigh = self._propagate_forced(monkeypatch, False, cfg, 5, cols)
+        by_cheb = self._propagate_forced(monkeypatch, True, cfg, 5, cols)
+        assert np.abs(by_eigh - by_cheb).max() < 1e-10
+        assert np.abs(by_cheb.conj().T @ by_cheb - np.eye(8)).max() < 1e-10
+
+    def test_dispatch(self, monkeypatch):
+        # the 5 ns pulse at 2 substeps is 24 CF4 steps of two half-steps
+        cfg = TestParityBlocks.PULSE
+        n_steps = 24
+        for nmax in (3, 5):
+            dressed_basis(SPEC, nmax)  # cached before counting
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+
+        def eigh_rows(nmax, columns):
+            calls.clear()
+            propagate(SPEC, cfg, 2, nmax=nmax, columns=columns)
+            return sorted(set(calls)), len(calls)
+
+        # 8 dressed columns, 4 per parity block: Chebyshev on both blocks
+        assert eigh_rows(5, dressed_basis(SPEC, 5)) == ([], 0)
+        # the whole propagator: every block keeps eigh
+        assert eigh_rows(5, None) == ([61, 86], 4 * n_steps)
+        # nmax=3: the 16-row block stays on eigh, the 35-row one does not
+        assert eigh_rows(3, dressed_basis(SPEC, 3)) == ([16], 2 * n_steps)
 
 
 class TestOptimizeTrace:
