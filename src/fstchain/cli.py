@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, device, gates, protocols, synthesis
-from .propagator import basis_state, evolve_state, state_from_json, state_to_json
+from .propagator import (
+    basis_state, check_dense_size, evolve_state, state_from_json, state_to_json,
+)
 from .synthesis import ChainSpec, SynthesisError, synthesize
 
 EXIT_OK = 0
@@ -191,8 +193,11 @@ def cmd_evolve(args, out: Path, t0: float) -> int:
 
 def cmd_verify_mapping(args, out: Path, t0: float) -> int:
     spec = _chain_spec(args)
-    params = synthesize(spec)
-    report = gates.verify_mapping(params, spec.theta)
+    try:
+        check_dense_size(spec.n_sites)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from None
+    report = gates.verify_mapping(synthesize(spec), spec.theta)
     _write_result(
         out, "verify-mapping", json.loads(spec.to_json()),
         {

@@ -226,6 +226,9 @@ class PulseConfig:
 
 
 def _flux_factor(phi: float, d: float):
+    # cos^2 and sin^2 of pi phi have period 1: reduce phi exactly to
+    # [-1/2, 1/2] first, so that no huge flux overflows pi phi
+    phi = phi - np.round(phi)
     return (np.cos(np.pi * phi) ** 2 + d**2 * np.sin(np.pi * phi) ** 2) ** 0.25
 
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import dense_oracle, extract_transfer_phase, single_propagator
+from .propagator import (
+    check_dense_size, dense_oracle, extract_transfer_phase, single_propagator,
+)
 from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
 __all__ = [
-    "GENERATOR_SITE_LIMIT",
     "GateOp",
     "Circuit",
     "MappingReport",
@@ -43,9 +44,6 @@ __all__ = [
     "speed_gain",
     "z_layer_equivalent",
 ]
-
-GENERATOR_SITE_LIMIT = 12
-
 
 def iswap_matrix(angle: float) -> np.ndarray:
     """4x4 iSWAP(angle) on two sites (basis |00>,|01>,|10>,|11>), with swap
@@ -157,6 +155,7 @@ class Circuit:
         return counts
 
     def unitary(self) -> np.ndarray:
+        check_dense_size(self.n_sites)
         u = np.eye(2**self.n_sites, dtype=complex)
         for layer in self.layers:
             for g in layer:
@@ -192,56 +191,64 @@ def apply_local(x: np.ndarray, gate: np.ndarray, site: int) -> np.ndarray:
     return np.einsum("ab,ibj->iaj", gate, shaped).reshape(x.shape)
 
 
-def _mirror_pairs(n_sites: int):
-    """The mirror-pair terms of G_N as index arithmetic on 2^N basis indices.
+def _mirror_pairs(y: np.ndarray):
+    """The mirror-pair terms of G_N as views of a 2^N vector or block y.
 
-    For each pair (a, b = N+1-a), yields the rows whose bits a and b differ,
-    the row each of them exchanges with (both bits flipped), and the parity
-    sign (+1/-1) of the Z string on the sites strictly between a and b.
+    For each pair (a, b = N+1-a), y is viewed as (2^(a-1), 2, 2^(b-a-1),
+    2, 2^(N-b), ...) over bits a and b (site 1 = MSB); yields the rows
+    whose bits a, b read 10 and those reading 01 (the exchange partners,
+    in the same order), and the parity sign (+1/-1) of the Z string on
+    the sites strictly between them, shaped to broadcast over the halves.
     """
-    idx = np.arange(2**n_sites)
-    for a in range(1, n_sites // 2 + 1):
-        bit_a, bit_b = 1 << (n_sites - a), 1 << (a - 1)
-        active = idx[((idx & bit_a) == 0) != ((idx & bit_b) == 0)]
-        between = bit_a - 2 * bit_b
-        par = 1 - 2 * (np.bitwise_count(active & between) & 1).astype(float)
-        yield active, active ^ (bit_a | bit_b), par
+    n = y.shape[0].bit_length() - 1
+    for a in range(1, n // 2 + 1):
+        b = n + 1 - a
+        v = y.reshape((2 ** (a - 1), 2, 2 ** (b - a - 1), 2, 2 ** (n - b)) + y.shape[1:])
+        par = 1.0 - 2.0 * (np.bitwise_count(np.arange(2 ** (b - a - 1))) & 1)
+        yield v[:, 1, :, 0], v[:, 0, :, 1], par.reshape((-1,) + (1,) * y.ndim)
 
 
 def build_generator(n_sites: int) -> np.ndarray:
     """G_N: sum over mirror pairs of sigma+_n Z..Z sigma-_{N+1-n} + h.c."""
-    if n_sites > GENERATOR_SITE_LIMIT:
-        raise ValueError(f"generator limited to N <= {GENERATOR_SITE_LIMIT}")
+    check_dense_size(n_sites)
     g = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    for active, partner, par in _mirror_pairs(n_sites):
-        g[active, partner] = par
+    for rows10, rows01, par in _mirror_pairs(np.arange(2**n_sites)):
+        g[rows10, rows01] = g[rows01, rows10] = par
     return g
+
+
+def _apply_pairs(y: np.ndarray, theta: float) -> np.ndarray:
+    """K_N y in place, for a C-contiguous 2^N vector or 2^N x m block y."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    for y10, y01, par in _mirror_pairs(y):
+        coef = 1j * s * par
+        old10 = y10.copy()
+        y10 *= c
+        y10 -= coef * y01
+        y01 *= c
+        y01 -= coef * old10
+    return y
 
 
 def apply_effective_gate(x: np.ndarray, theta: float) -> np.ndarray:
     """K_N x with K_N = exp(-i (theta/2) G_N), for a 2^N vector or a 2^N x m
     block x (x itself is left unchanged).
 
-    The mirror-pair factors commute; each acts on its active rows as
-    cos(theta/2) x[row] - i sin(theta/2) parity x[partner], and leaves the
-    other rows alone.
+    The mirror-pair factors commute; each acts on the rows whose two bits
+    differ as cos(theta/2) x[row] - i sin(theta/2) parity x[partner], and
+    leaves the other rows alone.  The update runs in place on a copy of x,
+    holding one extra quarter of it.
     """
     n = x.shape[0].bit_length() - 1
     if x.shape[0] != 2**n:
         raise ValueError(f"leading dimension {x.shape[0]} is not a power of two")
-    y = np.array(x, dtype=complex)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    for active, partner, par in _mirror_pairs(n):
-        par = par.reshape((-1,) + (1,) * (y.ndim - 1))
-        y[active] = c * y[active] - 1j * s * par * y[partner]
-    return y
+    return _apply_pairs(np.array(x, dtype=complex, order="C"), theta)
 
 
 def effective_gate(n_sites: int, theta: float) -> np.ndarray:
     """K_N = exp(-i (theta/2) G_N) as a dense 2^N x 2^N matrix."""
-    if n_sites > GENERATOR_SITE_LIMIT:
-        raise ValueError(f"gate limited to N <= {GENERATOR_SITE_LIMIT}")
-    return apply_effective_gate(np.eye(2**n_sites, dtype=complex), theta)
+    check_dense_size(n_sites)
+    return _apply_pairs(np.eye(2**n_sites, dtype=complex), theta)
 
 
 @dataclass(frozen=True)
@@ -257,8 +264,10 @@ def verify_mapping(
 ) -> MappingReport:
     """Check Eq.-(7)-style equivalence: the full chain propagator at t=tau,
     corrected by diagonal phases (e^{i phi} per excitation plus e^{i theta/2}
-    on the middle site of odd chains), equals K_N."""
+    on the middle site of odd chains), equals K_N.  Chains whose 2^N x 2^N
+    matrices exceed DENSE_MATRIX_LIMIT are refused before any is built."""
     n = params.n_sites
+    check_dense_size(n)
     u1 = single_propagator(params, params.tau)
     phi = extract_transfer_phase(u1, theta)
     idx = np.arange(2**n)
@@ -267,8 +276,10 @@ def verify_mapping(
     if n % 2 == 1:
         mid_bit = (idx >> (n - (n + 1) // 2)) & 1
         phase = phase + (theta / 2) * mid_bit
-    d = dense_oracle(params, params.tau) * np.exp(1j * phase)[np.newaxis, :]
-    diff = np.abs(d - effective_gate(n, theta))
+    d = dense_oracle(params, params.tau)
+    d *= np.exp(1j * phase)[np.newaxis, :]
+    d -= effective_gate(n, theta)
+    diff = np.abs(d)
     distance = float(diff.max())
     worst = tuple(int(v) for v in np.unravel_index(diff.argmax(), diff.shape))
     return MappingReport(

@@ -1,6 +1,10 @@
 """Exact chain evolution: single-excitation propagator, free-fermion lift,
 and a dense brute-force oracle on the full 2^N space.
 
+The dense oracle uses nothing of the free-fermion engine: H conserves the
+excitation number and its nearest-neighbour hops carry no Jordan-Wigner
+string, so it is built and exponentiated one number block at a time.
+
 Basis conventions used throughout the package:
 
 * site 1 is the most significant bit of a computational basis index;
@@ -22,8 +26,8 @@ import numpy as np
 from .synthesis import ChainParams, single_excitation_hamiltonian
 
 __all__ = [
-    "DENSE_SITE_LIMIT",
-    "LIFT_SITE_LIMIT",
+    "DENSE_MATRIX_LIMIT",
+    "check_dense_size",
     "SECTOR_TENSOR_LIMIT",
     "STATE_VECTOR_LIMIT",
     "single_propagator",
@@ -40,8 +44,6 @@ __all__ = [
     "state_from_json",
 ]
 
-DENSE_SITE_LIMIT = 10
-LIFT_SITE_LIMIT = 12
 # largest antisymmetric tensor sector_apply builds, in complex entries
 # (2^24 entries = 256 MB; one contraction holds two of them)
 SECTOR_TENSOR_LIMIT = 2**24
@@ -49,12 +51,22 @@ SECTOR_TENSOR_LIMIT = 2**24
 # (2^24 entries = 256 MB, N <= 24; evolving and writing it takes about
 # 200 bytes an entry)
 STATE_VECTOR_LIMIT = 2**24
+# largest dense 2^N x 2^N matrix (oracle, lift, G_N, K_N), in complex
+# entries (2^24 entries = 256 MB, N <= 12)
+DENSE_MATRIX_LIMIT = 2**24
+
+
+def check_dense_size(n_sites: int) -> None:
+    """Refuse (ValueError) a 2^N x 2^N matrix above DENSE_MATRIX_LIMIT."""
+    if 2 * n_sites > np.log2(DENSE_MATRIX_LIMIT):
+        raise ValueError(f"a dense 2^N x 2^N matrix on N={n_sites} sites needs "
+                         f"4^{n_sites} entries (limit {DENSE_MATRIX_LIMIT})")
 
 
 def single_propagator(params: ChainParams, t: float) -> np.ndarray:
     """U = exp(-i H^(1) t) on the single-excitation manifold."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     h = single_excitation_hamiltonian(params)
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
@@ -181,8 +193,7 @@ def lift_to_full(u: np.ndarray) -> np.ndarray:
     """Lift a single-particle unitary to the full 2^N space via Slater
     determinants.  Block diagonal in total excitation number."""
     n = u.shape[0]
-    if n > LIFT_SITE_LIMIT:
-        raise ValueError(f"lift limited to N <= {LIFT_SITE_LIMIT}, got {n}")
+    check_dense_size(n)
     dim = 2**n
     full = np.zeros((dim, dim), dtype=complex)
     for k in range(n + 1):
@@ -191,41 +202,45 @@ def lift_to_full(u: np.ndarray) -> np.ndarray:
     return full
 
 
-def _site_ops(n_sites: int):
-    sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
-    sm = sp.T.conj()
-    num = np.array([[0, 0], [0, 1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-
-    def embed(op, site):
-        out = np.eye(1, dtype=complex)
-        for s in range(1, n_sites + 1):
-            out = np.kron(out, op if s == site else eye)
-        return out
-
-    return sp, sm, num, embed
+def _number_blocks(params: ChainParams):
+    """Yield, for k = 0..N, the k-excitation basis indices in ascending order
+    and the real symmetric block of H on them, by bit arithmetic: the
+    detunings of the set bits on the diagonal, and J_s between each pair of
+    states whose bits s, s+1 (site 1 = MSB) read 01 and 10."""
+    n = params.n_sites
+    idx = np.arange(2**n)
+    diag = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1) @ params.detunings
+    weight = np.bitwise_count(idx)
+    for k in range(n + 1):
+        rows = idx[weight == k]
+        h = np.diag(diag[rows])
+        for s in range(1, n):
+            lo = 1 << (n - s - 1)
+            a = np.flatnonzero((rows & 3 * lo) == lo)
+            b = np.searchsorted(rows, rows[a] ^ 3 * lo)
+            h[a, b] = h[b, a] = params.couplings[s - 1]
+        yield rows, h
 
 
 def dense_hamiltonian(params: ChainParams) -> np.ndarray:
-    """Full 2^N matrix of the chain Hamiltonian built from ladder operators."""
-    n = params.n_sites
-    if n > DENSE_SITE_LIMIT:
-        raise ValueError(f"dense oracle limited to N <= {DENSE_SITE_LIMIT}, got {n}")
-    sp, sm, num, embed = _site_ops(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for s in range(1, n + 1):
-        h += params.detunings[s - 1] * embed(num, s)
-    for s in range(1, n):
-        hop = embed(sp, s) @ embed(sm, s + 1)
-        h += params.couplings[s - 1] * (hop + hop.conj().T)
+    """Full 2^N matrix of the chain Hamiltonian, scattered from its
+    excitation-number blocks."""
+    check_dense_size(params.n_sites)
+    h = np.zeros((2**params.n_sites,) * 2, dtype=complex)
+    for rows, block in _number_blocks(params):
+        h[rows[:, None], rows] = block
     return h
 
 
 def dense_oracle(params: ChainParams, t: float) -> np.ndarray:
-    """exp(-i H t) on the full 2^N space, by direct diagonalization."""
-    h = dense_hamiltonian(params)
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    """exp(-i H t) on the full 2^N space, by diagonalizing each
+    excitation-number block of H."""
+    check_dense_size(params.n_sites)
+    u = np.zeros((2**params.n_sites,) * 2, dtype=complex)
+    for rows, block in _number_blocks(params):
+        evals, evecs = np.linalg.eigh(block)
+        u[rows[:, None], rows] = (evecs * np.exp(-1j * evals * t)) @ evecs.T
+    return u
 
 
 def basis_state(n_sites: int, sites) -> np.ndarray:
@@ -257,12 +272,15 @@ def evolve_state(
 
     method="sector" (also what "auto" means) evolves each excitation-number
     sector the state occupies with sector_apply, at any N whose sectors fit
-    SECTOR_TENSOR_LIMIT.  method="lift" (the full determinant lift, N <= 12)
-    and method="dense" (the brute-force exponential, N <= 10) are oracles.
+    SECTOR_TENSOR_LIMIT.  method="lift" (the full determinant lift) and
+    method="dense" (the blockwise exponential of H) are oracles that build
+    a 2^N x 2^N matrix, so N <= 12 (DENSE_MATRIX_LIMIT).
     """
     n = params.n_sites
     if psi.shape != (2**n,):
         raise ValueError(f"state dimension {psi.shape} does not match N={n}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if method in ("auto", "sector"):
         u1 = single_propagator(params, t)
         out = np.zeros_like(psi, dtype=complex)

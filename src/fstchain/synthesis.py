@@ -52,8 +52,8 @@ class ChainSpec:
         if (self.tau is None) == (self.j_max is None):
             raise SynthesisError("exactly one of tau or j_max must be set")
         scale = self.tau if self.tau is not None else self.j_max
-        if not scale > 0:
-            raise SynthesisError(f"time scale must be positive, got {scale}")
+        if not 0 < scale < np.inf:
+            raise SynthesisError(f"time scale must be positive and finite, got {scale}")
 
     def to_json(self) -> str:
         d = {"n_sites": self.n_sites, "theta": self.theta}

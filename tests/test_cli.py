@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -112,6 +114,39 @@ class TestSpectrumAndMapping:
         assert res["ok"] is True
         assert res["distance"] < 1e-8
 
+    def test_verify_mapping_eleven_sites(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "verify-mapping", "--n", "11",
+                     "--theta", "pi", "--tau", "1"])
+        assert code == EXIT_OK
+        assert _result(out)["result"]["distance"] < 1e-8
+
+    @pytest.mark.parametrize("command", ["verify-mapping", "synthesize"])
+    @pytest.mark.parametrize("scale", [["--tau", "inf"], ["--j-max", "inf"], ["--tau", "nan"]])
+    def test_non_finite_time_scale_refused(self, tmp_path, capsys, command, scale):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), command, "--n", "3", "--theta", "pi"] + scale)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["13", "40"])
+    def test_verify_mapping_oversized_refused(self, tmp_path, capsys, n):
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "verify-mapping", "--n", n, "--theta", "pi", "--tau", "1"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_fig2a_endpoint(self, tmp_path):
@@ -183,6 +218,17 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit" in err
+        assert not (out / "state.json").exists()
+
+    @pytest.mark.parametrize("method", ["auto", "dense"])
+    @pytest.mark.parametrize("time", ["inf", "nan", "-1"])
+    def test_bad_time_refused(self, tmp_path, capsys, method, time):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "evolve", "--n", "3", "--theta", "pi",
+                     "--tau", "1", "--excite", "1", "--time", time, "--method", method])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "state.json").exists()
 
 
@@ -421,6 +467,17 @@ def _no_propagation(*args, **kwargs):
 
 
 class TestDeviceZZScan:
+    def test_huge_flux_bound(self, tmp_path):
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--out", str(out), "device-zz-scan", "--phi-min", "0",
+                         "--phi-max", "1e308", "--points", "2"])
+        assert code == EXIT_OK
+        rows = (out / "zz_scan.csv").read_text().strip().split("\n")[1:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert values.shape == (2, 3) and np.isfinite(values).all()
+
     def test_scan_finds_sign_change(self, tmp_path):
         out = tmp_path / "o"
         code = main(["--out", str(out), "device-zz-scan", "--phi-min", "0.3",
@@ -438,14 +495,30 @@ _ANGLES = st.sampled_from(
 _FLOATS = st.sampled_from(["1", "1e6", "0", "-1", "nan", "inf", "1e-300", "abc"])
 
 
+# chain sizes above the dense-matrix guard (verify-mapping, N > 12) and the
+# state-vector guard (evolve, N > 24): refused before anything is allocated
+_DENSE_REFUSED = range(13, 15)
+_STATE_REFUSED = (25, 30, 40)
+
+
 @st.composite
 def _cli_argv(draw):
-    """Arguments for parity, decompose, speed-sweep or device-zz-scan, sizes
-    kept small, and for device-optimize with the angle or the gate length
-    out of range."""
+    """Arguments for parity, decompose, speed-sweep, device-zz-scan,
+    verify-mapping or evolve, sizes kept small or above the size guards,
+    and for device-optimize with the angle or the gate length out of
+    range."""
     command = draw(st.sampled_from(
-        ["parity", "decompose", "speed-sweep", "device-zz-scan", "device-optimize"]
+        ["parity", "decompose", "speed-sweep", "device-zz-scan", "device-optimize",
+         "verify-mapping", "evolve"]
     ))
+    if command == "verify-mapping":
+        return ["verify-mapping", "--n", str(draw(st.integers(-2, 14))),
+                "--theta", draw(_ANGLES), "--tau", draw(_FLOATS)]
+    if command == "evolve":
+        n = draw(st.integers(-2, 12) | st.sampled_from(_STATE_REFUSED))
+        sites = draw(st.lists(st.integers(-1, 13), max_size=3))
+        return ["evolve", "--n", str(n), "--theta", draw(_ANGLES), "--tau", draw(_FLOATS),
+                "--excite", ",".join(map(str, sites)), "--time", draw(_FLOATS)]
     if command == "device-zz-scan":
         phis = st.sampled_from(["0", "0.3", "0.45", "-1", "2", "1e300", "nan", "inf", "x"])
         points = st.sampled_from(["-1", "0", "1", "2", "3", str(10**7), "2.5"])
@@ -471,15 +544,34 @@ def _cli_argv(draw):
     return ["speed-sweep", "--n", rng, "--theta", thetas]
 
 
+def _refused_size(argv):
+    """Whether a well-formed argv asks for a chain above its size guard."""
+    if argv[0] not in ("verify-mapping", "evolve"):
+        return False
+    n = int(argv[2])
+    return n in (_DENSE_REFUSED if argv[0] == "verify-mapping" else _STATE_REFUSED)
+
+
 @settings(max_examples=60, deadline=None)
 @given(argv=_cli_argv())
 def test_cli_fuzz_exits_cleanly(argv):
     err = io.StringIO()
+    refused = _refused_size(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             mock.patch.object(device, "propagate", _no_propagation):
-        code = main(["--out", tmp] + argv)
+        if refused:
+            tracemalloc.start()
+        try:
+            code = main(["--out", tmp] + argv)
+            peak = tracemalloc.get_traced_memory()[1] if refused else 0
+        finally:
+            tracemalloc.stop()
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_VALIDATION, EXIT_TOLERANCE)
     assert "Traceback" not in err.getvalue()
+    if refused:
+        # an unparsable angle or time exits 1 first; anything else exits 2
+        assert code in (EXIT_BAD_INPUT, EXIT_VALIDATION)
+        assert peak < 2**20
 
 
 def test_unknown_command(tmp_path):

@@ -61,6 +61,18 @@ class TestFluxToFrequency:
                 flux_to_frequency(SPEC, 1, phi + 1.0), rel=1e-12
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(coupler=st.sampled_from([1, 2]), phi=st.floats(-1.0, 1.0),
+           m=st.integers(-100, 100))
+    def test_periodic_under_whole_flux_quanta(self, coupler, phi, m):
+        assert flux_to_frequency(SPEC, coupler, phi + m) == pytest.approx(
+            flux_to_frequency(SPEC, coupler, phi), rel=1e-12
+        )
+
+    def test_huge_flux_is_finite(self):
+        # pi * 1e308 overflows; the flux is reduced modulo Phi_0 first
+        assert flux_to_frequency(SPEC, 1, 1e308) == flux_to_frequency(SPEC, 1, 0.0)
+
     def test_bad_coupler_index(self):
         with pytest.raises(ValueError):
             flux_to_frequency(SPEC, 3, 0.1)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,24 @@ class TestMatrixFreeAgainstDense:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             apply_effective_gate(np.ones(6, dtype=complex), 1.0)
+
+    def test_fortran_ordered_block(self):
+        rng = np.random.default_rng(4)
+        x = _random_state(rng, (2**7, 5))
+        got = apply_effective_gate(np.asfortranarray(x), 0.9)
+        assert np.array_equal(got, apply_effective_gate(x, 0.9))
+
+    def test_memory_is_about_one_extra_state(self):
+        # the pair updates run in place on the output, holding one copied
+        # quarter of it at a time
+        x = _random_state(np.random.default_rng(18), (2**18,))
+        tracemalloc.start()
+        try:
+            apply_effective_gate(x, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
     @PROPERTY
     @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))

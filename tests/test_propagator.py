@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fstchain import propagator
+from fstchain.gates import Circuit, build_generator, effective_gate, verify_mapping
 from fstchain.propagator import (
     basis_state,
     dense_hamiltonian,
@@ -13,11 +19,59 @@ from fstchain.propagator import (
     state_from_json,
     state_to_json,
 )
-from fstchain.synthesis import ChainSpec, synthesize
+from fstchain.synthesis import ChainParams, ChainSpec, synthesize
 
 
 def _params(n, theta, tau=1.0):
     return synthesize(ChainSpec(n_sites=n, theta=theta, tau=tau))
+
+
+# Dense reference, N <= 8: the chain Hamiltonian from kron-embedded ladder
+# operators, and its exponential by one eigh of the whole 2^N matrix.
+
+
+def _site_ops(n_sites):
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
+    sm = sp.T.conj()
+    num = np.array([[0, 0], [0, 1]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+
+    def embed(op, site):
+        out = np.eye(1, dtype=complex)
+        for s in range(1, n_sites + 1):
+            out = np.kron(out, op if s == site else eye)
+        return out
+
+    return sp, sm, num, embed
+
+
+def _kron_hamiltonian(params):
+    n = params.n_sites
+    sp, sm, num, embed = _site_ops(n)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for s in range(1, n + 1):
+        h += params.detunings[s - 1] * embed(num, s)
+    for s in range(1, n):
+        hop = embed(sp, s) @ embed(sm, s + 1)
+        h += params.couplings[s - 1] * (hop + hop.conj().T)
+    return h
+
+
+def _kron_oracle(params, t):
+    evals, evecs = np.linalg.eigh(_kron_hamiltonian(params))
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+
+
+@st.composite
+def _random_chains(draw, max_sites=8):
+    """ChainParams with random couplings and detunings (not synthesized)."""
+    n = draw(st.integers(2, max_sites))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ChainParams(
+        couplings=rng.uniform(-2.0, 2.0, n - 1),
+        detunings=rng.uniform(-2.0, 2.0, n),
+        tau=1.0,
+    )
 
 
 class TestSinglePropagator:
@@ -158,11 +212,78 @@ class TestDenseOracle:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(32), atol=1e-9)
 
     def test_size_guard(self):
+        # 12 sites (4^12 = 2^24 entries) run; 13 are refused
         params = _params(4, 1.0)
-        object.__setattr__(params, "couplings", np.ones(10))
-        object.__setattr__(params, "detunings", np.zeros(11))
+        object.__setattr__(params, "couplings", np.ones(12))
+        object.__setattr__(params, "detunings", np.zeros(13))
         with pytest.raises(ValueError):
             dense_hamiltonian(params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=_random_chains(), t=st.floats(0.0, 3.0))
+    def test_matches_kron_reference(self, params, t):
+        np.testing.assert_allclose(
+            dense_hamiltonian(params), _kron_hamiltonian(params), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            dense_oracle(params, t), _kron_oracle(params, t), rtol=0, atol=1e-12
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(params=_random_chains(max_sites=9), a=st.floats(0.0, 2.0),
+           b=st.floats(0.0, 2.0))
+    def test_composes(self, params, a, b):
+        np.testing.assert_allclose(
+            dense_oracle(params, a) @ dense_oracle(params, b),
+            dense_oracle(params, a + b),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_independent_of_free_fermion_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense oracle used the free-fermion engine")
+
+        monkeypatch.setattr(propagator, "single_propagator", refuse)
+        monkeypatch.setattr(propagator, "sector_propagator", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        params = _params(6, 0.8)
+        u = dense_oracle(params, 0.9)
+        np.testing.assert_allclose(u, _kron_oracle(params, 0.9), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: dense_hamiltonian(p),
+            lambda p: dense_oracle(p, 1.0),
+            lambda p: verify_mapping(p, np.pi),
+            lambda p: lift_to_full(np.eye(p.n_sites, dtype=complex)),
+            lambda p: build_generator(p.n_sites),
+            lambda p: effective_gate(p.n_sites, np.pi),
+            lambda p: Circuit(n_sites=p.n_sites, layers=()).unitary(),
+            lambda p: evolve_state(basis_state(p.n_sites, [1]), p, 1.0, method="dense"),
+        ],
+        ids=["dense_hamiltonian", "dense_oracle", "verify_mapping", "lift_to_full",
+             "build_generator", "effective_gate", "circuit_unitary", "evolve_state_dense"],
+    )
+    def test_thirteen_sites_refused_before_allocation(self, call):
+        params = _params(13, np.pi)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                call(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_twelve_sites_accepted(self):
+        params = ChainParams(couplings=np.ones(11), detunings=np.zeros(12), tau=1.0)
+        u = dense_oracle(params, 0.3)
+        assert u.shape == (4096, 4096)
+        psi = basis_state(12, [1, 5])
+        np.testing.assert_allclose(
+            u @ psi, evolve_state(psi, params, 0.3, method="sector"), rtol=0, atol=1e-12
+        )
 
 
 class TestEvolveState:
