@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import (
-    check_dense_size, dense_oracle, extract_transfer_phase, single_propagator,
+    STATE_VECTOR_LIMIT, check_dense_size, dense_oracle, extract_transfer_phase,
+    single_propagator,
 )
 from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
@@ -154,13 +155,17 @@ class Circuit:
                 counts[g.kind] = counts.get(g.kind, 0) + 1
         return counts
 
-    def unitary(self) -> np.ndarray:
-        check_dense_size(self.n_sites)
-        u = np.eye(2**self.n_sites, dtype=complex)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The circuit applied to a 2^N vector or to each column of a 2^N x m
+        block, gate by gate through apply_local."""
         for layer in self.layers:
             for g in layer:
-                u = apply_local(u, g.matrix(), g.targets[0])
-        return u
+                x = apply_local(x, g.matrix(), g.targets[0])
+        return x
+
+    def unitary(self) -> np.ndarray:
+        check_dense_size(self.n_sites)
+        return self.apply(np.eye(2**self.n_sites, dtype=complex))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -185,10 +190,18 @@ class Circuit:
 
 def apply_local(x: np.ndarray, gate: np.ndarray, site: int) -> np.ndarray:
     """Apply a d x d gate (d = 2 or 4) on the 1-based site(s) site[, site+1]
-    (site 1 = MSB) to a 2^N vector or to each column of a 2^N x m block."""
+    (site 1 = MSB) to a 2^N vector or to each column of a 2^N x m block,
+    by BLAS products on its (2^(site-1), d, rest) view."""
     d = gate.shape[0]
     shaped = x.reshape(2 ** (site - 1), d, -1)
-    return np.einsum("ab,ibj->iaj", gate, shaped).reshape(x.shape)
+    rest = shaped.shape[2]
+    if d * rest <= 16:
+        # short trailing axis (gate on the last sites of a vector): a stack
+        # of tiny d x rest products is slower than einsum, so make one
+        # (2^(site-1), d rest) product with gate (x) 1_rest instead
+        op = (gate[:, None, :, None] * np.eye(rest)[:, None]).reshape(d * rest, -1)
+        return (x.reshape(len(shaped), d * rest) @ op.T).reshape(x.shape)
+    return np.matmul(gate, shaped).reshape(x.shape)
 
 
 def _mirror_pairs(y: np.ndarray):
@@ -346,9 +359,10 @@ def compile_decomposition(
 
     Gate counts: N even -> N^2/2 - N FSWAPs + N/2 iSWAPs; N odd ->
     (N-1)^2/2 FSWAPs + (N-1)/2 iSWAPs.  The circuit equals K_N up to a
-    final single-qubit Z layer; this is verified for N <= 6 (or always
-    when verify=True) and a failure aborts compilation.  theta must be
-    finite and j_max positive and finite.
+    final single-qubit Z layer; this is verified on N+3 states (see
+    _z_layer_residual) for N <= 12, or always when verify=True (refused
+    with ValueError past N = 19), and a failure aborts compilation.
+    theta must be finite and j_max positive and finite.
     """
     if n_sites < 3:
         raise ValueError("decomposition defined for N >= 3")
@@ -365,12 +379,10 @@ def compile_decomposition(
     )
     circuit = Circuit(n_sites=n_sites, layers=layers)
     if verify is None:
-        verify = n_sites <= 6
+        verify = n_sites <= 12
     if verify:
-        ok, err = z_layer_equivalent(
-            circuit.unitary(), effective_gate(n_sites, theta)
-        )
-        if not ok:
+        err = _z_layer_residual(circuit, theta)
+        if not err <= 1e-8:
             raise RuntimeError(
                 f"compiled circuit is not Z-layer equivalent to K_N "
                 f"(N={n_sites}, theta={theta}, residual {err:.2e})"
@@ -378,10 +390,55 @@ def compile_decomposition(
     return circuit
 
 
+def _z_layer_residual(circuit: Circuit, theta: float) -> float:
+    """How far the circuit C is from e^{i phi} D K_N on N+3 states.
+
+    C and K_N both conserve excitation number, and K_N is unitary on the
+    vacuum plus the N single-excitation states, so C's action there fixes
+    the diagonal of e^{i phi} D on those states: the global phase (the
+    vacuum) and one phase per qubit.  D is extended to every basis state
+    as the product of its per-qubit phases.  Returns the largest entry of
+    C x - e^{i phi} D K_N x over those N+1 states and two seeded random
+    states; zero (up to rounding) exactly when C = e^{i phi} D K_N.  The
+    block of states is refused above STATE_VECTOR_LIMIT entries.
+    """
+    n = circuit.n_sites
+    if 2**n * (n + 3) > STATE_VECTOR_LIMIT:
+        raise ValueError(f"verifying an N={n} circuit needs 2^{n} x {n + 3} "
+                         f"entries (limit {STATE_VECTOR_LIMIT})")
+    low = np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))  # |0>, site 1..N
+    x = np.zeros((2**n, n + 3), dtype=complex)
+    x[low, np.arange(n + 1)] = 1.0
+    rng = np.random.default_rng(0)
+    x[:, n + 1:] = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
+    x[:, n + 1:] /= np.linalg.norm(x[:, n + 1:], axis=0)
+    cx = circuit.apply(x)
+    kx = _apply_pairs(x, theta)  # in place: x is not needed again
+    d_low = np.einsum("ij,ij->i", cx[low, : n + 1], kx[low, : n + 1].conj())
+    d = d_low[:1]
+    for q in d_low[1:] / d_low[0]:  # site 1 is the most significant bit
+        d = np.outer(d, [1.0, q]).ravel()
+    kx *= d[:, None]
+    kx -= cx
+    return float(np.abs(kx).max())
+
+
+# (FSwap-only, iSWAP-only, mixed) layers of the N < 5 networks; from N = 5
+# on, each of the N + N%2 layers holds an FSwap and N//2 of them also hold
+# the one iSWAP of a mirror pair (checked against _bounce_layers in tests)
+_SMALL_NETWORK_LAYERS = {2: (0, 1, 0), 3: (2, 1, 0), 4: (2, 2, 0)}
+
+
 def decomposition_duration(n_sites: int, theta: float, j_max: float) -> float:
-    """total_duration of compile_decomposition without building GateOps."""
-    times = {kind: gate_time(kind, -theta, j_max) for kind in ("ISwapTheta", "FSwap")}
-    return sum(max(times[kind] for kind, _ in layer) for layer in _bounce_layers(n_sites))
+    """total_duration of compile_decomposition, from the network's layer
+    counts: no schedule or GateOp is built.  Needs N >= 2."""
+    if n_sites < 2:
+        raise ValueError(f"a swap network needs N >= 2 sites, got {n_sites}")
+    t_fswap, t_iswap = (gate_time(kind, -theta, j_max) for kind in ("FSwap", "ISwapTheta"))
+    fswap_only, iswap_only, mixed = _SMALL_NETWORK_LAYERS.get(
+        n_sites, (n_sites + n_sites % 2 - n_sites // 2, 0, n_sites // 2)
+    )
+    return fswap_only * t_fswap + iswap_only * t_iswap + mixed * max(t_fswap, t_iswap)
 
 
 def speed_gain(n_sites: int, theta: float, j_max: float = 1.0) -> float:

@@ -250,7 +250,7 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
     is allocated."""
     if 2**n_sites > STATE_VECTOR_LIMIT:
         raise ValueError(
-            f"a dense state on N={n_sites} sites needs {2**n_sites} entries "
+            f"a dense state on N={n_sites} sites needs 2^{n_sites} entries "
             f"(limit {STATE_VECTOR_LIMIT})"
         )
     idx = 0

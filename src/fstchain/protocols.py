@@ -75,8 +75,10 @@ def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
     ext[0 : 2 ** (m - 1) : 2] = psi  # L bit 0 (MSB), R bit 0 (LSB)
     half_y = gates.GateOp("HalfY", (m,)).matrix()
     half_x = gates.GateOp("HalfX", (1,)).matrix()
+    # K_{N+2}(pi) runs in place on ext, which this function owns, so at
+    # most two extended states are alive at once (inside apply_local)
     ext = gates.apply_local(ext, half_y, m)
-    ext = gates.apply_effective_gate(ext, np.pi)
+    gates._apply_pairs(ext, np.pi)
     ext = gates.apply_local(ext, half_x, 1)
     # probability that the left ancilla (MSB) reads 1
     p_one = float(np.clip(np.sum(np.abs(ext[2 ** (m - 1) :]) ** 2), 0.0, 1.0))

@@ -220,6 +220,15 @@ class TestEvolve:
         assert "limit" in err
         assert not (out / "state.json").exists()
 
+    def test_huge_register_refusal_is_one_short_line(self, tmp_path, capsys):
+        # the refusal names 2^N, not its 1205 decimal digits
+        code = main(["--out", str(tmp_path / "o"), "evolve", "--n", "4000", "--theta",
+                     "pi", "--tau", "1", "--time", "1", "--excite", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and "2^4000" in err
+
     @pytest.mark.parametrize("method", ["auto", "dense"])
     @pytest.mark.parametrize("time", ["inf", "nan", "-1"])
     def test_bad_time_refused(self, tmp_path, capsys, method, time):

@@ -4,14 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fstchain import gates
 from fstchain.gates import (
     FSWAP,
     Circuit,
     GateOp,
     apply_effective_gate,
+    apply_local,
     build_generator,
     compile_decomposition,
     decomposition_duration,
@@ -294,12 +296,55 @@ class TestDecomposition:
             (2 * np.pi + theta) / (2 * j), rel=1e-12
         )
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theta", [0.1 * np.pi, 0.5 * np.pi, np.pi])
     def test_z_layer_equivalence(self, n, theta):
-        circuit = compile_decomposition(n, theta, 1.0, verify=False)
+        # compiling checks the circuit on states; the dense unitary is the
+        # reference
+        circuit = compile_decomposition(n, theta, 1.0)
         ok, err = z_layer_equivalent(circuit.unitary(), effective_gate(n, theta))
         assert ok, err
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_one_negated_iswap_is_caught(self, monkeypatch, n):
+        angles = []
+
+        def negate_first(angle, real=gates.iswap_matrix):
+            angles.append(angle)
+            return real(-angle if len(angles) == 1 else angle)
+
+        monkeypatch.setattr(gates, "iswap_matrix", negate_first)
+        with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
+            compile_decomposition(n, 0.3 * np.pi, 1.0)
+
+    @pytest.mark.parametrize("n,checked", [(12, True), (13, False)])
+    def test_default_verification_limit(self, monkeypatch, n, checked):
+        sizes = []
+
+        def spy(circuit, theta, real=gates._z_layer_residual):
+            sizes.append(circuit.n_sites)
+            return real(circuit, theta)
+
+        monkeypatch.setattr(gates, "_z_layer_residual", spy)
+        compile_decomposition(n, 0.7, 1.0)
+        assert sizes == ([n] if checked else [])
+
+    def test_closed_form_duration_matches_schedule(self):
+        # |theta| > pi makes the iSWAP the longer gate of a mixed layer
+        j_max = 1.3
+        for n in [*range(2, 301), 801]:
+            layer_kinds = [{kind for kind, _ in layer} for layer in gates._bounce_layers(n)]
+            for theta in (1e-9, 0.3, np.pi, 4.0, -2.0, -7.0):
+                want = sum(max(gate_time(kind, -theta, j_max) for kind in kinds)
+                           for kinds in layer_kinds)
+                assert decomposition_duration(n, theta, j_max) == pytest.approx(
+                    want, rel=1e-12, abs=0
+                )
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_duration_needs_two_sites(self, n):
+        with pytest.raises(ValueError, match="N >= 2"):
+            decomposition_duration(n, 0.5, 1.0)
 
     def test_duration_helper_matches_circuit(self):
         for n in (3, 6, 9):
@@ -460,6 +505,28 @@ class TestMatrixFreeAgainstDense:
             layers.append(tuple(layer))
         circuit = Circuit(n_sites=n, layers=tuple(layers))
         assert np.abs(circuit.unitary() - _kron_unitary(circuit)).max() < 1e-12
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 9),
+        width=st.sampled_from([1, 2]),
+        site=st.integers(1, 9),
+        cols=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # gates on the last site(s) of a vector: the short-trailing-axis product
+    @example(n=6, width=1, site=9, cols=None, seed=0)
+    @example(n=6, width=2, site=9, cols=None, seed=0)
+    def test_apply_local_matches_kron_embedding(self, n, width, site, cols, seed):
+        n = max(n, width)
+        site = min(site, n - width + 1)
+        rng = np.random.default_rng(seed)
+        gate = rng.normal(size=(2**width,) * 2) + 1j * rng.normal(size=(2**width,) * 2)
+        x = _random_state(rng, (2**n,) if cols is None else (2**n, cols))
+        got = apply_local(x, gate, site)
+        assert got.shape == x.shape
+        want = _kron_embed(gate, (site,), n) @ x
+        assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_parity_on_registers_past_the_old_limit(self, n):

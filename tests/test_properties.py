@@ -1,14 +1,16 @@
 """Property tests: the tensor-contraction sector engine against the
-determinant lift, and run_scenario against a dense state-vector reference."""
+determinant lift, run_scenario against a dense state-vector reference, and
+the parity protocol's linearity."""
 
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fstchain import propagator
+from fstchain import gates, propagator
+from fstchain.cli import main
 from fstchain.propagator import (
     SECTOR_TENSOR_LIMIT,
     basis_state,
@@ -17,7 +19,7 @@ from fstchain.propagator import (
     sector_apply,
     sector_propagator,
 )
-from fstchain.protocols import Scenario, run_scenario
+from fstchain.protocols import Scenario, parity_measure, run_scenario
 from fstchain.synthesis import ChainSpec, synthesize
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -104,6 +106,36 @@ def test_hot_paths_never_build_the_lift(monkeypatch):
         evolve_state(psi, params, 0.7, method=method)
     events = ({"t": 0.6, "kind": "xflip", "site": 4},)
     run_scenario(Scenario(7, 1.1, (1, 2, 6), events), n_steps=4)
+
+
+def test_durations_never_build_the_swap_schedule(monkeypatch, tmp_path):
+    def forbidden(*args):
+        raise AssertionError("_bounce_layers called")
+
+    monkeypatch.setattr(gates, "_bounce_layers", forbidden)
+    gates.speed_gain(801, 1e-9)
+    gates.decomposition_duration(300, 4.0, 1.3)
+    argv = ["--out", str(tmp_path), "speed-sweep", "--n", "2..60", "--theta", "0.05pi,pi"]
+    assert main(argv) == 0
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 6),
+    a=st.complex_numbers(max_magnitude=2),
+    b=st.complex_numbers(max_magnitude=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_post_state_is_linear(n, a, b, seed):
+    rng = np.random.default_rng(seed)
+    psi1, psi2 = (v / np.linalg.norm(v) for v in
+                  rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n)))
+    mix = a * psi1 + b * psi2
+    norm = np.linalg.norm(mix)
+    assume(norm > 1e-3)
+    got = norm * parity_measure(mix / norm).post_state
+    want = a * parity_measure(psi1).post_state + b * parity_measure(psi2).post_state
+    assert np.abs(got - want).max() < 1e-12
 
 
 def _dense_populations(scenario, n_steps):

@@ -121,6 +121,21 @@ class TestParityMeasure:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_memory_is_about_two_extended_states(self):
+        # K_{N+2}(pi) runs in place, and at most one old state is alive
+        # while apply_local builds the next
+        n = 18
+        rng = np.random.default_rng(18)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        tracemalloc.start()
+        try:
+            parity_measure(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** (n + 2) * 16
+
 
 class TestCorrelator:
     def test_all_z_on_vacuum(self):
