@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, device, gates, protocols, synthesis
 from .propagator import (
-    basis_state, check_dense_size, evolve_state, state_from_json, state_to_json,
+    basis_state, check_dense_size, evolve_state, site_populations, split_sectors,
+    state_from_json, write_state_json,
 )
 from .synthesis import ChainSpec, SynthesisError, synthesize
 
@@ -82,15 +83,12 @@ def _chain_spec(args) -> ChainSpec:
             file=sys.stderr,
         )
         theta = clamped
-    try:
-        return ChainSpec(
-            n_sites=args.n,
-            theta=theta,
-            tau=args.tau,
-            j_max=2 * np.pi * args.j_max if args.j_max is not None else None,
-        )
-    except SynthesisError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    return ChainSpec(
+        n_sites=args.n,
+        theta=theta,
+        tau=args.tau,
+        j_max=2 * np.pi * args.j_max if args.j_max is not None else None,
+    )
 
 
 def cmd_synthesize(args, out: Path, t0: float) -> int:
@@ -170,22 +168,18 @@ def cmd_evolve(args, out: Path, t0: float) -> int:
         raise CliError(str(exc), EXIT_VALIDATION) from None
     t = args.time * params.tau if args.time_in_tau else args.time
     try:
-        final = evolve_state(psi, params, t, method=args.method)
+        final = evolve_state(psi, params, t)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
-    (out / "state.json").parent.mkdir(parents=True, exist_ok=True)
-    (out / "state.json").write_text(state_to_json(final) + "\n")
-    n = spec.n_sites
-    idx = np.arange(2**n)
-    pops = [
-        float(np.sum(np.abs(final[(idx >> (n - s)) & 1 == 1]) ** 2))
-        for s in range(1, n + 1)
-    ]
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "state.json", "w") as fh:
+        write_state_json(final, fh)
+        fh.write("\n")
+    pops = site_populations(spec.n_sites, split_sectors(final))
     _write_result(
         out, "evolve",
-        {"spec": json.loads(spec.to_json()), "excite": sites, "t": t,
-         "method": args.method},
-        {"populations": pops, "norm": float(np.linalg.norm(final))},
+        {"spec": json.loads(spec.to_json()), "excite": sites, "t": t},
+        {"populations": pops.tolist(), "norm": float(np.linalg.norm(final))},
         t0,
     )
     return EXIT_OK
@@ -359,9 +353,7 @@ def cmd_device_optimize(args, out: Path, t0: float) -> int:
         seed_cfg = device.seed_pulse_config(spec, theta, args.tau_final)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
-    res = device.optimize_pulse(
-        spec, theta, seed_cfg, budget=args.budget, method=args.method
-    )
+    res = device.optimize_pulse(spec, theta, seed_cfg, budget=args.budget)
     _write_csv(
         out / "trace.csv",
         ["eval", "infidelity", "leakage", "phiA1", "phiA2", "wd1", "wd2", "wall_s"],
@@ -369,8 +361,7 @@ def cmd_device_optimize(args, out: Path, t0: float) -> int:
     )
     _write_result(
         out, "device-optimize",
-        {"theta": theta, "tau_final": args.tau_final, "budget": args.budget,
-         "method": args.method},
+        {"theta": theta, "tau_final": args.tau_final, "budget": args.budget},
         {
             "infidelity": res.metrics.infidelity,
             "leakage": res.metrics.leakage,
@@ -441,9 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state-file")
     sp.add_argument("--time", type=float, required=True)
     sp.add_argument("--time-in-tau", action="store_true")
-    sp.add_argument(
-        "--method", choices=["auto", "lift", "dense", "sector"], default="auto"
-    )
     chain_args(sub.add_parser("verify-mapping"))
     sp = sub.add_parser("decompose")
     sp.add_argument("--n", type=int, required=True)
@@ -464,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", required=True)
     sp.add_argument("--tau-final", type=float, default=212e-9)
     sp.add_argument("--budget", type=int, default=200)
-    sp.add_argument("--method", choices=["lbfgs", "nelder-mead"], default="lbfgs")
     sp.add_argument("--device", help="DeviceSpec JSON file (GHz)")
     sp = sub.add_parser("device-zz-scan")
     sp.add_argument("--phi-min", type=float, default=0.0)

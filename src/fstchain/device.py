@@ -806,7 +806,6 @@ def optimize_pulse(
     theta: float,
     initial: PulseConfig,
     budget: int = 200,
-    method: str = "lbfgs",
     target_infidelity: float = 1e-3,
     substeps_per_sample: int = 4,
     nmax: int | None = 5,
@@ -817,8 +816,8 @@ def optimize_pulse(
     coarse substep (accurate to ~1e-3, enough to steer to <1e-2); the
     returned metrics are re-evaluated with the optimized parameters.
     The search stops as soon as the best infidelity falls below
-    target_infidelity or the evaluation budget is exhausted.
-    method: "lbfgs" (finite-difference quasi-Newton) or "nelder-mead".
+    target_infidelity or the evaluation budget is exhausted.  The search
+    is L-BFGS-B with finite-difference gradients.
     """
 
     class _Done(Exception):
@@ -855,20 +854,12 @@ def optimize_pulse(
 
     try:
         if objective(x0) > target_infidelity:
-            if method == "lbfgs":
-                eps = np.maximum(1e-4 * np.abs(x0), 1e-8)
-                minimize(
-                    objective, x0, method="L-BFGS-B",
-                    options={"eps": eps, "maxfun": budget, "ftol": 1e-12,
-                             "gtol": 1e-10},
-                )
-            elif method == "nelder-mead":
-                minimize(
-                    objective, x0, method="Nelder-Mead",
-                    options={"maxfev": budget, "xatol": 1e-7, "fatol": 1e-6},
-                )
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            eps = np.maximum(1e-4 * np.abs(x0), 1e-8)
+            minimize(
+                objective, x0, method="L-BFGS-B",
+                options={"eps": eps, "maxfun": budget, "ftol": 1e-12,
+                         "gtol": 1e-10},
+            )
     except _Done:
         pass
 

@@ -29,6 +29,7 @@ from .propagator import (
 from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
 __all__ = [
+    "DECOMPOSITION_GATE_LIMIT",
     "GateOp",
     "Circuit",
     "MappingReport",
@@ -302,6 +303,9 @@ def verify_mapping(
 
 
 _HOLE = 0  # ghost rider marking the empty slot of odd chains
+# largest swap network compile_decomposition builds, in gates: the network
+# has N(N-1)/2 of them, so N <= 1024 (N = 1000 takes about 8 s and 400 MB)
+DECOMPOSITION_GATE_LIMIT = 2**19
 
 
 def _bounce_layers(n: int):
@@ -362,10 +366,14 @@ def compile_decomposition(
     final single-qubit Z layer; this is verified on N+3 states (see
     _z_layer_residual) for N <= 12, or always when verify=True (refused
     with ValueError past N = 19), and a failure aborts compilation.
-    theta must be finite and j_max positive and finite.
+    theta must be finite and j_max positive and finite.  Networks above
+    DECOMPOSITION_GATE_LIMIT gates are refused before any is built.
     """
     if n_sites < 3:
         raise ValueError("decomposition defined for N >= 3")
+    if n_sites * (n_sites - 1) // 2 > DECOMPOSITION_GATE_LIMIT:
+        raise ValueError(f"a swap network on N={n_sites} sites has N(N-1)/2 gates "
+                         f"(limit {DECOMPOSITION_GATE_LIMIT}, N <= 1024)")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     _check_j_max(j_max, theta)

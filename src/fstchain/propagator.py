@@ -16,6 +16,7 @@ Basis conventions used throughout the package:
 
 from __future__ import annotations
 
+import io
 import json
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -36,10 +37,14 @@ __all__ = [
     "sector_indices",
     "sector_propagator",
     "sector_apply",
+    "split_sectors",
+    "evolve_sectors",
+    "site_populations",
     "dense_oracle",
     "dense_hamiltonian",
     "evolve_state",
     "basis_state",
+    "write_state_json",
     "state_to_json",
     "state_from_json",
 ]
@@ -90,16 +95,18 @@ def extract_transfer_phase(u: np.ndarray, theta: float) -> float:
     return float(-np.angle(amp))
 
 
+@lru_cache(maxsize=64)
 def sector_indices(n_sites: int, k: int) -> np.ndarray:
     """Basis indices (site 1 = MSB) of all k-excitation bitstrings,
-    ordered by their occupation subsets lexicographically."""
-    out = []
-    for subset in combinations(range(1, n_sites + 1), k):
-        idx = 0
-        for s in subset:
-            idx |= 1 << (n_sites - s)
-        out.append(idx)
-    return np.array(out, dtype=np.int64)
+    ordered by their occupation subsets lexicographically, which is
+    descending index order.  Cached; the array is read-only.  Indices
+    must fit in int64, so N <= 63."""
+    if n_sites > 63:
+        raise ValueError(f"basis indices on N={n_sites} sites overflow int64 (N <= 63)")
+    sites = np.array(list(combinations(range(n_sites), k)), dtype=np.int64)
+    out = (1 << (n_sites - 1 - sites.reshape(comb(n_sites, k), k))).sum(axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def sector_propagator(u: np.ndarray, k: int) -> np.ndarray:
@@ -189,6 +196,28 @@ def sector_apply(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
     return np.linalg.det(u) * sign * holes_out[::-1]
 
 
+def split_sectors(psi: np.ndarray) -> dict:
+    """The occupied sectors of a 2^N state: {k: psi[sector_indices(N, k)]}."""
+    n = psi.size.bit_length() - 1
+    occupied = np.unique(np.bitwise_count(np.flatnonzero(psi)))
+    return {int(k): psi[sector_indices(n, int(k))] for k in occupied}
+
+
+def evolve_sectors(u: np.ndarray, sectors: dict) -> dict:
+    """Each sector evolved by the single-particle propagator u."""
+    return {k: sector_apply(u, k, amp) for k, amp in sectors.items()}
+
+
+def site_populations(n_sites: int, sectors: dict) -> np.ndarray:
+    """Excitation probability of each site 1..N of a sector state."""
+    shifts = np.arange(n_sites - 1, -1, -1)
+    p = np.zeros(n_sites)
+    for k, amp in sectors.items():
+        bits = (sector_indices(n_sites, k)[:, None] >> shifts) & 1
+        p += np.abs(amp) ** 2 @ bits
+    return p
+
+
 def lift_to_full(u: np.ndarray) -> np.ndarray:
     """Lift a single-particle unitary to the full 2^N space via Slater
     determinants.  Block diagonal in total excitation number."""
@@ -266,12 +295,12 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
 
 
 def evolve_state(
-    psi: np.ndarray, params: ChainParams, t: float, method: str = "auto"
+    psi: np.ndarray, params: ChainParams, t: float, method: str = "sector"
 ) -> np.ndarray:
     """Evolve a 2^N state vector for time t.
 
-    method="sector" (also what "auto" means) evolves each excitation-number
-    sector the state occupies with sector_apply, at any N whose sectors fit
+    method="sector" evolves each excitation-number sector the state
+    occupies with sector_apply, at any N whose sectors fit
     SECTOR_TENSOR_LIMIT.  method="lift" (the full determinant lift) and
     method="dense" (the blockwise exponential of H) are oracles that build
     a 2^N x 2^N matrix, so N <= 12 (DENSE_MATRIX_LIMIT).
@@ -281,13 +310,11 @@ def evolve_state(
         raise ValueError(f"state dimension {psi.shape} does not match N={n}")
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    if method in ("auto", "sector"):
-        u1 = single_propagator(params, t)
-        out = np.zeros_like(psi, dtype=complex)
-        occupied = np.unique(np.bitwise_count(np.flatnonzero(np.abs(psi) > 0)))
-        for k in occupied:
-            idx = sector_indices(n, int(k))
-            out[idx] = sector_apply(u1, int(k), psi[idx])
+    if method == "sector":
+        sectors = evolve_sectors(single_propagator(params, t), split_sectors(psi))
+        out = np.zeros(psi.shape, dtype=complex)
+        for k, amp in sectors.items():
+            out[sector_indices(n, k)] = amp
         return out
     if method == "lift":
         full = lift_to_full(single_propagator(params, t))
@@ -298,8 +325,24 @@ def evolve_state(
     return full @ psi
 
 
+_JSON_ROWS = 2**12  # amplitudes formatted at a time by write_state_json
+
+
+def write_state_json(psi: np.ndarray, fh) -> None:
+    """Write psi to a text stream as a JSON list of [re, im] pairs,
+    formatting _JSON_ROWS amplitudes at a time."""
+    fh.write("[")
+    for start in range(0, len(psi), _JSON_ROWS):
+        chunk = psi[start : start + _JSON_ROWS]
+        pairs = np.column_stack((chunk.real, chunk.imag)).astype(float, copy=False)
+        fh.write((", " if start else "") + json.dumps(pairs.tolist())[1:-1])
+    fh.write("]")
+
+
 def state_to_json(psi: np.ndarray) -> str:
-    return json.dumps([[float(a.real), float(a.imag)] for a in psi])
+    buf = io.StringIO()
+    write_state_json(psi, buf)
+    return buf.getvalue()
 
 
 def state_from_json(s: str) -> np.ndarray:

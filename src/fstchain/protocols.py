@@ -17,9 +17,10 @@ import numpy as np
 from . import gates
 from .propagator import (
     STATE_VECTOR_LIMIT,
-    sector_apply,
+    evolve_sectors,
     sector_indices,
     single_propagator,
+    site_populations,
 )
 from .synthesis import ChainSpec, synthesize
 
@@ -185,55 +186,21 @@ class ScenarioResult:
     tau: float
 
 
-class _SectorState:
-    """State spread over excitation-number sectors, stored per sector as an
-    amplitude vector over the subsets of sector_indices ordering.  Only the
-    occupied sectors are evolved, each by sector_apply (a tensor
-    contraction, never the C(N,k) x C(N,k) determinant lift)."""
-
-    def __init__(self, n_sites: int, excitations):
-        self.n = n_sites
-        k = len(excitations)
-        idx = 0
-        for s in excitations:
-            idx |= 1 << (n_sites - s)
-        sector = sector_indices(n_sites, k)
-        amp = np.zeros(len(sector), dtype=complex)
-        amp[np.flatnonzero(sector == idx)[0]] = 1.0
-        self.sectors = {k: amp}
-
-    def evolved(self, u1: np.ndarray) -> dict:
-        return {k: sector_apply(u1, k, amp) for k, amp in self.sectors.items()}
-
-    def apply_xflip(self, site: int) -> None:
-        """Toggle the occupation of one site, rerouting amplitudes across
-        neighboring sectors."""
-        bit = 1 << (self.n - site)
-        new: dict = {}
-        for k, amp in self.sectors.items():
-            src = sector_indices(self.n, k)
-            occupied = (src & bit) != 0
-            for dk, mask in ((-1, occupied), (+1, ~occupied)):
-                if not mask.any():
-                    continue
-                dst_sector = sector_indices(self.n, k + dk)
-                lookup = {int(v): i for i, v in enumerate(dst_sector)}
-                tgt = new.setdefault(
-                    k + dk, np.zeros(len(dst_sector), dtype=complex)
-                )
-                for i in np.flatnonzero(mask):
-                    tgt[lookup[int(src[i]) ^ bit]] += amp[i]
-        self.sectors = new
-
-    def populations(self, sectors: dict) -> np.ndarray:
-        p = np.zeros(self.n)
-        for k, amp in sectors.items():
-            idx = sector_indices(self.n, k)
-            prob = np.abs(amp) ** 2
-            for s in range(1, self.n + 1):
-                occ = (idx & (1 << (self.n - s))) != 0
-                p[s - 1] += prob[occ].sum()
-        return p
+def _apply_xflip(n_sites: int, sectors: dict, site: int) -> dict:
+    """Toggle the occupation of one site of a sector state: each amplitude
+    moves to the neighbouring sector, at the position of its flipped index."""
+    bit = 1 << (n_sites - site)
+    out: dict = {}
+    for k, amp in sectors.items():
+        src = sector_indices(n_sites, k)
+        occupied = (src & bit) != 0
+        for dst, mask in ((k - 1, occupied), (k + 1, ~occupied)):
+            if mask.any():
+                ascending = sector_indices(n_sites, dst)[::-1]
+                pos = len(ascending) - 1 - np.searchsorted(ascending, src[mask] ^ bit)
+                tgt = out.setdefault(dst, np.zeros(len(ascending), dtype=complex))
+                tgt[pos] += amp[mask]
+    return out
 
 
 def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
@@ -257,22 +224,24 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
             f"event at t={scenario.events[-1]['t']} after t_final={t_final}"
         )
     times = np.linspace(0.0, t_final, n_steps + 1)
-    state = _SectorState(scenario.n_sites, scenario.excitations)
+    n = scenario.n_sites
+    start = sum(1 << (n - s) for s in scenario.excitations)
+    k = len(scenario.excitations)
+    sectors = {k: (sector_indices(n, k) == start).astype(complex)}
 
     events = list(scenario.events)
-    pops = np.empty((len(times), scenario.n_sites))
-    t_anchor = 0.0  # time at which `state` is current
+    pops = np.empty((len(times), n))
+    t_anchor = 0.0  # time at which `sectors` is current
     for i, t in enumerate(times):
         while events and events[0]["t"] <= t + slack:
             ev = events.pop(0)
             # advance the stored state to the event time, then apply
             u1 = single_propagator(params, ev["t"] - t_anchor)
-            state.sectors = state.evolved(u1)
+            sectors = _apply_xflip(n, evolve_sectors(u1, sectors), int(ev["site"]))
             t_anchor = ev["t"]
-            state.apply_xflip(int(ev["site"]))
         # an event up to `slack` after t has been applied: sample at its time
         u1 = single_propagator(params, max(t - t_anchor, 0.0))
-        pops[i] = state.populations(state.evolved(u1))
+        pops[i] = site_populations(n, evolve_sectors(u1, sectors))
     return ScenarioResult(times=times / tau, populations=pops, tau=tau)
 
 

@@ -4,6 +4,7 @@ import json
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestEvolve:
         out = tmp_path / "o"
         code = main(["--out", str(out), "evolve", "--n", "15",
                      "--theta", "0.5pi", "--tau", "1.0", "--excite", "1",
-                     "--time", "2", "--time-in-tau", "--method", "sector"])
+                     "--time", "2", "--time-in-tau"])
         assert code == EXIT_OK
         pops = _result(out)["result"]["populations"]
         assert pops[14] == pytest.approx(1.0, abs=1e-6)
@@ -202,6 +203,21 @@ class TestEvolve:
         assert res["norm"] == pytest.approx(1.0, abs=1e-12)
         assert sum(res["populations"]) == pytest.approx(6.0, abs=1e-10)
 
+    def test_twenty_sites_peak_within_two_and_a_half_states(self, tmp_path):
+        # the 2^20 state is 16 MiB: the input and the evolved state are held,
+        # state.json is written in row chunks and populations sector by sector
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(out), "evolve", "--n", "20", "--theta", "0.5pi",
+                         "--tau", "1", "--excite", "1,5", "--time", "0.7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2.5 * 16 * 2**20
+        assert sum(_result(out)["result"]["populations"]) == pytest.approx(2.0, abs=1e-12)
+
     def test_oversized_sector_refused(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "evolve", "--n", "15",
                      "--theta", "0.5pi", "--tau", "1.0",
@@ -229,12 +245,11 @@ class TestEvolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200 and "2^4000" in err
 
-    @pytest.mark.parametrize("method", ["auto", "dense"])
     @pytest.mark.parametrize("time", ["inf", "nan", "-1"])
-    def test_bad_time_refused(self, tmp_path, capsys, method, time):
+    def test_bad_time_refused(self, tmp_path, capsys, time):
         out = tmp_path / "o"
         code = main(["--out", str(out), "evolve", "--n", "3", "--theta", "pi",
-                     "--tau", "1", "--excite", "1", "--time", time, "--method", method])
+                     "--tau", "1", "--excite", "1", "--time", time])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -269,6 +284,25 @@ class TestDecomposeAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: j_max") and err.count("\n") == 1
         assert not (out / "circuit.json").exists()
+
+    @pytest.mark.parametrize("n", ["1025", "1000000000"])
+    def test_decompose_oversized_refused(self, tmp_path, capsys, n):
+        # N(N-1)/2 gates above DECOMPOSITION_GATE_LIMIT: refused before the
+        # swap schedule is built
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "decompose", "--n", n, "--theta", "pi", "--j-max", "1e6"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit" in err
+        assert not out.exists()
 
     def test_speed_sweep(self, tmp_path):
         out = tmp_path / "o"
@@ -510,16 +544,60 @@ _DENSE_REFUSED = range(13, 15)
 _STATE_REFUSED = (25, 30, 40)
 
 
+_SCENARIO_TIMES = st.floats(-1, 3) | st.sampled_from(
+    [0, 2, float("nan"), float("inf"), "1", None, True]
+)
+_SCENARIO_SITES = st.integers(-1, 11) | st.sampled_from(["3", 2.0, True, None])
+
+
+@st.composite
+def _scenario_body(draw):
+    """A scenario JSON text: well-formed with sorted x-flips inside 2 tau,
+    or with any field drawn out of range, of the wrong type or missing."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 9))
+        sites = st.integers(1, n)
+        times = sorted(draw(st.lists(st.floats(0.0, 2.0), max_size=3)))
+        return json.dumps({
+            "n_sites": n, "theta": draw(st.floats(0.05, np.pi)),
+            "excitations": draw(st.lists(sites, unique=True, max_size=min(n, 4))),
+            "events": [{"t": t, "kind": "xflip", "site": draw(sites)} for t in times],
+        })
+    event = st.fixed_dictionaries({
+        "t": _SCENARIO_TIMES, "kind": st.sampled_from(["xflip", "zflip"]),
+        "site": _SCENARIO_SITES,
+    })
+    body = {
+        "n_sites": draw(st.integers(-1, 10) | st.sampled_from([64, "8", 2.5, None])),
+        "theta": draw(st.floats(allow_nan=True) | st.sampled_from(["pi", None])),
+        "excitations": draw(st.lists(_SCENARIO_SITES, max_size=4)),
+        "events": draw(st.lists(event | st.just({"t": 0.5}), max_size=3)
+                       | st.sampled_from([{}, "x", 3])),
+    }
+    if draw(st.booleans()):
+        body["t_final"] = draw(_SCENARIO_TIMES)
+    if draw(st.booleans()):
+        del body[draw(st.sampled_from(sorted(body)))]
+    return draw(st.just(json.dumps(body)) | st.sampled_from(["[]", "3", "{", "null"]))
+
+
 @st.composite
 def _cli_argv(draw):
     """Arguments for parity, decompose, speed-sweep, device-zz-scan,
-    verify-mapping or evolve, sizes kept small or above the size guards,
-    and for device-optimize with the angle or the gate length out of
-    range."""
+    synthesize, spectrum, scenario (the scenario's JSON text in place of
+    its file name), verify-mapping or evolve, sizes kept small or above
+    the size guards, and for device-optimize with the angle or the gate
+    length out of range."""
     command = draw(st.sampled_from(
         ["parity", "decompose", "speed-sweep", "device-zz-scan", "device-optimize",
-         "verify-mapping", "evolve"]
+         "synthesize", "spectrum", "scenario", "verify-mapping", "evolve"]
     ))
+    if command in ("synthesize", "spectrum"):
+        return [command, "--n", str(draw(st.integers(-2, 40))), "--theta", draw(_ANGLES),
+                draw(st.sampled_from(["--tau", "--j-max"])), draw(_FLOATS)]
+    if command == "scenario":
+        steps = draw(st.sampled_from(["-1", "0", "1", "3", "2.5", "x"]))
+        return ["scenario", draw(_scenario_body()), "--steps", steps]
     if command == "verify-mapping":
         return ["verify-mapping", "--n", str(draw(st.integers(-2, 14))),
                 "--theta", draw(_ANGLES), "--tau", draw(_FLOATS)]
@@ -561,13 +639,17 @@ def _refused_size(argv):
     return n in (_DENSE_REFUSED if argv[0] == "verify-mapping" else _STATE_REFUSED)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(argv=_cli_argv())
 def test_cli_fuzz_exits_cleanly(argv):
     err = io.StringIO()
     refused = _refused_size(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             mock.patch.object(device, "propagate", _no_propagation):
+        if argv[0] == "scenario":
+            path = Path(tmp) / "scenario.json"
+            path.write_text(argv[1])
+            argv = [argv[0], str(path)] + argv[2:]
         if refused:
             tracemalloc.start()
         try:

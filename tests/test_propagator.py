@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -325,6 +326,12 @@ class TestEvolveState:
         np.testing.assert_allclose(a, c, atol=1e-8)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("method", ["sector", "lift", "dense"])
+    @pytest.mark.parametrize("t", ["inf", "nan", "-1"])
+    def test_bad_time_refused(self, method, t):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_state(basis_state(3, [1]), _params(3, np.pi), float(t), method=method)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve_state(np.ones(8), _params(4, 1.0), 0.5)
@@ -340,3 +347,15 @@ def test_state_json_round_trip():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     np.testing.assert_allclose(state_from_json(state_to_json(psi)), psi, rtol=1e-15)
+
+
+def test_state_json_matches_one_dumps_of_all_pairs():
+    # state.json is written in row chunks; the text is that of one
+    # json.dumps over every [re, im] pair
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=2**13) + 1j * rng.normal(size=2**13)
+    psi[:4] = [0.0, complex(-0.0, -0.0), 1.0, -1e-300j]
+    assert state_to_json(psi) == json.dumps([[float(a.real), float(a.imag)] for a in psi])
+    real = rng.normal(size=5)
+    assert state_to_json(real) == json.dumps([[float(a), 0.0] for a in real])
+    assert state_to_json(np.zeros(0)) == "[]"

@@ -1,6 +1,7 @@
 """Property tests: the tensor-contraction sector engine against the
-determinant lift, run_scenario against a dense state-vector reference, and
-the parity protocol's linearity."""
+determinant lift, the sector state of a chain against its 2^N vector,
+run_scenario against a dense state-vector reference, and the parity
+protocol's linearity."""
 
 from math import comb
 
@@ -17,9 +18,12 @@ from fstchain.propagator import (
     dense_oracle,
     evolve_state,
     sector_apply,
+    sector_indices,
     sector_propagator,
+    site_populations,
+    split_sectors,
 )
-from fstchain.protocols import Scenario, parity_measure, run_scenario
+from fstchain.protocols import Scenario, _apply_xflip, parity_measure, run_scenario
 from fstchain.synthesis import ChainSpec, synthesize
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -69,6 +73,71 @@ def test_sector_apply_composes(case, seed):
     assert np.abs(once - twice).max() < 1e-12
 
 
+@st.composite
+def sector_states(draw, max_sites=10):
+    """(n, psi): a random normalized 2^N state on a random set of
+    excitation sectors."""
+    n = draw(st.integers(1, max_sites))
+    ks = draw(st.sets(st.integers(0, n), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi[~np.isin(np.bitwise_count(np.arange(2**n)), list(ks))] = 0.0
+    return n, psi / np.linalg.norm(psi)
+
+
+def _scatter(n, sectors):
+    psi = np.zeros(2**n, dtype=complex)
+    for k, amp in sectors.items():
+        psi[sector_indices(n, k)] = amp
+    return psi
+
+
+@SETTINGS
+@given(sector_states())
+def test_split_sectors_scatters_back(case):
+    n, psi = case
+    sectors = split_sectors(psi)
+    assert set(sectors) == set(np.bitwise_count(np.flatnonzero(psi)).tolist())
+    assert np.abs(_scatter(n, sectors) - psi).max() < 1e-12
+
+
+@SETTINGS
+@given(sector_states())
+def test_site_populations_match_dense_masks(case):
+    n, psi = case
+    idx = np.arange(2**n)
+    want = [np.sum(np.abs(psi[(idx >> (n - s)) & 1 == 1]) ** 2) for s in range(1, n + 1)]
+    assert np.abs(site_populations(n, split_sectors(psi)) - want).max() < 1e-12
+
+
+@SETTINGS
+@given(sector_states(), st.data())
+def test_xflip_matches_pauli_x(case, data):
+    n, psi = case
+    site = data.draw(st.integers(1, n))
+    flipped = _apply_xflip(n, split_sectors(psi), site)
+    want = psi[np.arange(2**n) ^ (1 << (n - site))]
+    assert np.abs(_scatter(n, flipped) - want).max() < 1e-12
+
+
+@SETTINGS
+@given(st.integers(0, 10), st.data())
+def test_sector_indices_are_weight_k_indices_descending(n, data):
+    k = data.draw(st.integers(0, n + 1))
+    idx = sector_indices(n, k)
+    all_idx = np.arange(2**n)
+    np.testing.assert_array_equal(idx, all_idx[np.bitwise_count(all_idx) == k][::-1])
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[...] = 0
+
+
+def test_sector_indices_refuse_int64_overflow():
+    assert sector_indices(63, 1)[0] == 2**62
+    with pytest.raises(ValueError, match="int64"):
+        sector_indices(64, 1)
+
+
 def test_sector_apply_refuses_oversized_tensor():
     n, k = 15, 7
     assert n**k > SECTOR_TENSOR_LIMIT
@@ -102,8 +171,7 @@ def test_hot_paths_never_build_the_lift(monkeypatch):
     params = synthesize(ChainSpec(n_sites=7, theta=1.1, tau=1.0))
     rng = np.random.default_rng(2)
     psi = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
-    for method in ("sector", "auto"):
-        evolve_state(psi, params, 0.7, method=method)
+    evolve_state(psi, params, 0.7)
     events = ({"t": 0.6, "kind": "xflip", "site": 4},)
     run_scenario(Scenario(7, 1.1, (1, 2, 6), events), n_steps=4)
 
