@@ -324,8 +324,11 @@ def cmd_scenario(args, out: Path, t0: float) -> int:
         result = protocols.run_scenario(scenario, n_steps=args.steps)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "populations.csv").write_text(protocols.populations_csv(result))
+    n = scenario.n_sites
+    _write_csv(
+        out / "populations.csv", ["t"] + [f"p_{i}" for i in range(1, n + 1)],
+        ([t, *row] for t, row in zip(result.times, result.populations)),
+    )
     _write_result(
         out, "scenario", json.loads(scenario.to_json()),
         {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -298,18 +298,24 @@ class _Operators:
                 "the static Hamiltonian couples even and odd total occupation"
             )
         self._blocks: dict = {}
+        self.dressed: dict = {}  # dressed_basis(spec, nmax) by nmax
+
+    def working_space(self, nmax: int | None) -> np.ndarray:
+        """Full-space indices of the working space: the states of total
+        occupation <= nmax, or all 243 when nmax is None."""
+        if nmax is None:
+            return np.arange(_DIM)
+        return np.flatnonzero(self.total_occupation <= nmax)
 
     def parity_blocks(self, nmax: int | None) -> tuple:
-        """The even and odd total-occupation blocks of the working space
-        (total occupation <= nmax; the full space when None), each as
-        (rows, h_static block, n_c1 diagonal, n_c2 diagonal), with rows
-        the block's positions in the working space."""
+        """The even and odd total-occupation blocks of the working space,
+        each as (rows, h_static block, n_c1 diagonal, n_c2 diagonal), with
+        rows the block's positions in the working space."""
         if nmax not in self._blocks:
-            occ = self.total_occupation
-            keep = np.arange(_DIM) if nmax is None else np.flatnonzero(occ <= nmax)
+            keep = self.working_space(nmax)
             blocks = []
             for parity in (0, 1):
-                rows = np.flatnonzero(occ[keep] % 2 == parity)
+                rows = np.flatnonzero(self.total_occupation[keep] % 2 == parity)
                 idx = keep[rows]
                 blocks.append((
                     rows,
@@ -385,9 +391,8 @@ def propagate(
     either through ``eigh`` of h or, when a cost rule finds it cheaper
     (a few columns on a large block), as a Chebyshev expansion in h
     truncated at a Bessel tail below 1e-16.
-    ``columns`` restricts the output to U[:, columns] (indices in the
-    working space); a 2-D complex array is used directly as the initial
-    block, returning U @ columns.
+    ``columns``, a (dim, m) block of working-space vectors, returns
+    U @ columns in place of the whole (dim, dim) propagator.
 
     With check_convergence=True the integration is repeated at half the
     substep and the max-norm difference must stay below convergence_tol.
@@ -488,12 +493,9 @@ def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
     cfg.validate_flux_branch(spec)
     blocks = _operators(spec).parity_blocks(nmax)
     dim = sum(rows.size for rows, *_ in blocks)
-    u = np.eye(dim, dtype=complex)
-    if columns is not None:
-        if np.ndim(columns) == 2:
-            u = np.array(columns, dtype=complex)
-        else:
-            u = np.ascontiguousarray(u[:, columns])
+    if columns is not None and (np.ndim(columns) != 2 or len(columns) != dim):
+        raise ValueError(f"columns must be a ({dim}, m) block, got {np.shape(columns)}")
+    u = np.eye(dim, dtype=complex) if columns is None else np.array(columns, complex)
     if cfg.tau_final <= 0:
         return u
 
@@ -651,13 +653,10 @@ class GateMetrics:
 
 
 def comp_columns(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
-    """Indices of the 8 computational states in the working space
-    (full 243-dim space, or the nmax-truncated one)."""
-    if nmax is None:
-        return _COMP_INDEX.copy()
-    keep = np.flatnonzero(_operators(spec).total_occupation <= nmax)
-    pos = {int(v): i for i, v in enumerate(keep)}
-    return np.array([pos[int(i)] for i in _COMP_INDEX])
+    """Indices of the 8 computational states in the working space."""
+    if nmax is not None and nmax < 3:
+        raise ValueError(f"the computational states need nmax >= 3, got {nmax}")
+    return np.searchsorted(_operators(spec).working_space(nmax), _COMP_INDEX)
 
 
 def _static_eigenstates(spec: DeviceSpec, phi_c1: float, phi_c2: float, nmax):
@@ -685,9 +684,6 @@ def _dressed_index(eigen, bare: int) -> tuple:
     return b, pick
 
 
-_DRESSED_CACHE: dict = {}
-
-
 def dressed_basis(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
     """Columns of the 8 dressed computational states at the DC bias.
 
@@ -697,9 +693,9 @@ def dressed_basis(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
     so fidelity/leakage must be measured against these states rather than
     the bare ones.
     """
-    key = (spec.to_json(), nmax)
-    if key in _DRESSED_CACHE:
-        return _DRESSED_CACHE[key]
+    cache = _operators(spec).dressed
+    if nmax in cache:
+        return cache[nmax]
     eigen = _static_eigenstates(spec, spec.phi_dc1, spec.phi_dc2, nmax)
     w = np.zeros((sum(rows.size for rows, _, _ in eigen), 8), dtype=complex)
     used = set()
@@ -711,19 +707,8 @@ def dressed_basis(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
         rows, _, vecs = eigen[b]
         w[rows, j] = vecs[:, pick]
         w[:, j] *= np.conj(w[bare, j]) / abs(w[bare, j])
-    if len(_DRESSED_CACHE) > 8:
-        _DRESSED_CACHE.clear()
-    _DRESSED_CACHE[key] = w
+    cache[nmax] = w
     return w
-
-
-def _comp_block(u: np.ndarray, nmax: int | None, spec: DeviceSpec) -> np.ndarray:
-    rows = comp_columns(spec, None if u.shape[0] == _DIM else nmax)
-    if u.shape[1] == u.shape[0]:
-        return u[np.ix_(rows, rows)]
-    if u.shape[1] != 8:
-        raise ValueError("expected a square propagator or an 8-column block")
-    return u[rows, :]
 
 
 def gate_metrics(
@@ -732,32 +717,22 @@ def gate_metrics(
     spec: DeviceSpec,
     cfg: PulseConfig | None = None,
     nmax: int | None = None,
-    basis: str = "dressed",
 ) -> GateMetrics:
-    """Average gate fidelity and leakage of a simulated propagator
-    against the K_3(theta) target with its Z-corrections.
+    """Average gate fidelity and leakage of the propagated dressed
+    computational states against the K_3(theta) target with its
+    Z-corrections.
 
-    The 8-dim computational block (projected on the dressed states at the
-    DC bias by default; ``basis="bare"`` uses the bare product states) is
-    moved to the frame rotating at (w~2 + wd1, w~2, w~2 + wd2) over
-    tau_final (when cfg is given), the fixed Z-corrections
-    exp(i theta/2 n_1,3) exp(i theta n_2) are folded into the target, and
-    three residual virtual-Z angles plus the global phase are optimized
-    away.  An 8-column ``u_sim`` must hold the propagated basis columns
-    (bare indices for "bare", dressed vectors for "dressed").
+    ``u_sim`` is U @ dressed_basis(spec, nmax), a (dim, 8) block of the
+    working space.  Its 8-dim projection on the dressed states is moved to
+    the frame rotating at (w~2 + wd1, w~2, w~2 + wd2) over tau_final (when
+    cfg is given), the fixed Z-corrections exp(i theta/2 n_1,3)
+    exp(i theta n_2) are folded into the target, and three residual
+    virtual-Z angles plus the global phase are optimized away.
     """
-    if basis == "bare":
-        m = _comp_block(u_sim, nmax, spec)
-    elif basis == "dressed":
-        w_basis = dressed_basis(spec, None if u_sim.shape[0] == _DIM else nmax)
-        if u_sim.shape[1] == u_sim.shape[0]:
-            m = w_basis.conj().T @ u_sim @ w_basis
-        elif u_sim.shape[1] == 8:
-            m = w_basis.conj().T @ u_sim
-        else:
-            raise ValueError("expected a square propagator or an 8-column block")
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    w_basis = dressed_basis(spec, nmax)
+    if np.shape(u_sim) != w_basis.shape:
+        raise ValueError(f"expected a {w_basis.shape} block, got {np.shape(u_sim)}")
+    m = w_basis.conj().T @ u_sim
     if cfg is not None:
         eff = swt_effective_params(spec)
         freqs = np.array(

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .synthesis import ChainParams, single_excitation_hamiltonian
+from .synthesis import DENSE_MATRIX_LIMIT, ChainParams, single_excitation_hamiltonian
 
 __all__ = [
     "DENSE_MATRIX_LIMIT",
@@ -56,9 +56,6 @@ SECTOR_TENSOR_LIMIT = 2**24
 # (2^24 entries = 256 MB, N <= 24; evolving and writing it takes about
 # 200 bytes an entry)
 STATE_VECTOR_LIMIT = 2**24
-# largest dense 2^N x 2^N matrix (oracle, lift, G_N, K_N), in complex
-# entries (2^24 entries = 256 MB, N <= 12)
-DENSE_MATRIX_LIMIT = 2**24
 
 
 def check_dense_size(n_sites: int) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "correlator_measure",
     "run_scenario",
     "repeated_parity",
-    "populations_csv",
 ]
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -213,6 +212,9 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+    if (int(n_steps) + 1) * scenario.n_sites > STATE_VECTOR_LIMIT:
+        raise ValueError(f"{n_steps} steps of {scenario.n_sites} site populations "
+                         f"exceed {STATE_VECTOR_LIMIT} entries")
     params = synthesize(
         ChainSpec(n_sites=scenario.n_sites, theta=scenario.theta, tau=1.0)
     )
@@ -264,14 +266,3 @@ def repeated_parity(psi: np.ndarray, rounds: int, j_max: float = 1.0):
             raise RuntimeError("projection annihilated the register")
         current = register / norm
     return results, current
-
-
-def populations_csv(result: ScenarioResult) -> str:
-    """CSV time series `t, p_1, ..., p_N` (t in units of tau)."""
-    n = result.populations.shape[1]
-    lines = ["t," + ",".join(f"p_{i}" for i in range(1, n + 1))]
-    for t, row in zip(result.times, result.populations):
-        lines.append(
-            ",".join(f"{v:.17g}" for v in np.concatenate(([t], row)))
-        )
-    return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "DENSE_MATRIX_LIMIT",
     "ChainSpec",
     "ChainParams",
     "SynthesisError",
@@ -25,6 +26,12 @@ __all__ = [
     "DetuningRangeReport",
     "SpectrumReport",
 ]
+
+
+# largest dense matrix, in entries (2^24 complex entries = 256 MB): the
+# N x N single-excitation matrix (N <= 4096) and the 2^N x 2^N oracle,
+# lift, G_N and K_N matrices (N <= 12)
+DENSE_MATRIX_LIMIT = 2**24
 
 
 class SynthesisError(ValueError):
@@ -167,9 +174,13 @@ def synthesize(spec: ChainSpec) -> ChainParams:
 
 
 def single_excitation_hamiltonian(params: ChainParams) -> np.ndarray:
-    """N x N tridiagonal matrix of the single-excitation manifold."""
-    h = np.diag(params.detunings.astype(float))
+    """N x N tridiagonal matrix of the single-excitation manifold, refused
+    (SynthesisError) above DENSE_MATRIX_LIMIT entries."""
     n = params.n_sites
+    if n * n > DENSE_MATRIX_LIMIT:
+        raise SynthesisError(f"the {n} x {n} single-excitation matrix exceeds "
+                             f"{DENSE_MATRIX_LIMIT} entries (N <= 4096)")
+    h = np.diag(params.detunings.astype(float))
     idx = np.arange(n - 1)
     h[idx, idx + 1] = params.couplings
     h[idx + 1, idx] = params.couplings

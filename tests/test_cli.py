@@ -106,6 +106,25 @@ class TestSpectrumAndMapping:
         lines = (out / "spectrum.csv").read_text().strip().split("\n")
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("n", ["4097", "3000000"])
+    def test_spectrum_oversized_refused(self, tmp_path, capsys, n):
+        # the N x N single-excitation matrix above 2^24 entries (65.5 TiB
+        # at N = 3e6) is refused before it is allocated
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "spectrum", "--n", n, "--theta", "pi", "--tau", "1"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        # the O(N) synthesis before the guard: a few arrays of N floats
+        assert peak < 2**20 if n == "4097" else peak < 64 * int(n)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_verify_mapping_ok(self, tmp_path):
         out = tmp_path / "o"
         code = main(["--out", str(out), "verify-mapping", "--n", "5",
@@ -453,6 +472,32 @@ class TestScenario:
         f = self._scenario_file(tmp_path, {"n_sites": 5, "theta": 1.0, "excitations": [1]})
         code = main(["--out", str(tmp_path / "o"), "scenario", str(f), "--steps", "-3"])
         assert code == EXIT_VALIDATION
+
+    def test_oversized_steps_refused(self, tmp_path, capsys):
+        # 1e12 steps of 9 populations (7.28 TiB of times alone) are refused
+        # before anything is allocated
+        f = self._scenario_file(tmp_path, {"n_sites": 9, "theta": 1.0, "excitations": [1, 4]})
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(out), "scenario", str(f), "--steps", str(10**12)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_populations_csv_shape(self, tmp_path):
+        f = self._scenario_file(tmp_path, {"n_sites": 4, "theta": 1.0, "excitations": [2]})
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "scenario", str(f), "--steps", "10"]) == EXIT_OK
+        lines = (out / "populations.csv").read_text().strip().split("\n")
+        assert lines[0] == "t,p_1,p_2,p_3,p_4"
+        assert len(lines) == 12
+        assert all(len(line.split(",")) == 5 for line in lines)
 
     def test_determinism(self, tmp_path):
         f = self._scenario_file(

@@ -336,19 +336,23 @@ class TestPropagate:
         cfg = replace(self.SHORT, tau_final=12e-9)
         cols = comp_columns(SPEC, nmax=4)
         full = propagate(SPEC, cfg, nmax=4)
-        part = propagate(SPEC, cfg, nmax=4, columns=cols)
+        part = propagate(SPEC, cfg, nmax=4, columns=np.eye(full.shape[0])[:, cols])
         np.testing.assert_allclose(part, full[:, cols], atol=1e-12)
 
     def test_truncation_agrees_with_larger_space(self):
         cfg = replace(self.SHORT, tau_final=15e-9)
-        cols5 = comp_columns(SPEC, nmax=5)
-        cols6 = comp_columns(SPEC, nmax=6)
-        u5 = propagate(SPEC, cfg, nmax=5, columns=cols5)
-        u6 = propagate(SPEC, cfg, nmax=6, columns=cols6)
+        u5 = propagate(SPEC, cfg, nmax=5, columns=_unit_columns(5))
+        u6 = propagate(SPEC, cfg, nmax=6, columns=_unit_columns(6))
         b5 = u5[comp_columns(SPEC, nmax=5), :]
         b6 = u6[comp_columns(SPEC, nmax=6), :]
         # the nmax=5 truncation itself is good to ~1e-3 on this pulse
         np.testing.assert_allclose(b5, b6, atol=1e-3)
+
+
+def _unit_columns(nmax):
+    """The computational states of the working space as unit columns."""
+    dim = _working_space(nmax).size
+    return np.eye(dim, dtype=complex)[:, comp_columns(SPEC, nmax)]
 
 
 def _target_unitary(theta):
@@ -360,8 +364,6 @@ def _target_unitary(theta):
 
 class TestDressedBasis:
     def test_orthonormal_and_close_to_bare(self):
-        from fstchain.device import dressed_basis
-
         w = dressed_basis(SPEC, nmax=5)
         np.testing.assert_allclose(w.conj().T @ w, np.eye(8), atol=1e-12)
         idx = comp_columns(SPEC, nmax=5)
@@ -370,76 +372,79 @@ class TestDressedBasis:
         # gauge: bare-state overlap is real positive
         assert np.abs(w[idx, range(8)].imag).max() < 1e-12
 
+    def test_computational_states_need_nmax_three(self):
+        # |111> has total occupation 3
+        with pytest.raises(ValueError, match="nmax >= 3"):
+            dressed_basis(SPEC, nmax=2)
+
 
 class TestGateMetrics:
-    def test_exact_target_is_perfect_bare(self):
-        theta = 0.8
-        _, v = _target_unitary(theta)
-        u = np.zeros((243, 243), dtype=complex)
-        idx = comp_columns(SPEC)
-        u[np.ix_(idx, idx)] = v
-        met = gate_metrics(u, theta, SPEC, basis="bare")
-        assert met.infidelity < 1e-9
-        assert met.leakage == pytest.approx(0.0, abs=1e-12)
-
     def test_exact_target_is_perfect_dressed(self):
-        from fstchain.device import dressed_basis
-
         theta = 0.8
         _, v = _target_unitary(theta)
-        w = dressed_basis(SPEC)
-        u = w @ v @ w.conj().T
-        met = gate_metrics(u, theta, SPEC)
+        met = gate_metrics(dressed_basis(SPEC) @ v, theta, SPEC)
         assert met.infidelity < 1e-9
         assert met.leakage == pytest.approx(0.0, abs=1e-12)
 
     def test_static_evolution_has_tiny_dressed_leakage(self):
         # with the drive off, dressed-state population cannot leave the
-        # computational manifold (the bare-basis metric would report ~4%)
+        # computational manifold, while the bare states lose ~4% of theirs
         cfg = PulseConfig(amp1=0.0, amp2=0.0, wd1=1e8, wd2=1e8,
                           tau_final=20e-9)
-        u = propagate(SPEC, cfg, nmax=5)
+        u = propagate(SPEC, cfg, nmax=5, columns=dressed_basis(SPEC, 5))
         met = gate_metrics(u, np.pi, SPEC, cfg, nmax=5)
         assert met.leakage < 1e-6
-        bare = gate_metrics(u, np.pi, SPEC, cfg, nmax=5, basis="bare")
-        assert bare.leakage > 0.01
+        idx = comp_columns(SPEC, nmax=5)
+        bare = propagate(SPEC, cfg, nmax=5, columns=_unit_columns(5))[idx]
+        assert 1 - np.mean(np.sum(np.abs(bare) ** 2, axis=0)) > 0.01
 
-    def test_virtual_z_invariance(self):
-        theta = 0.8
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theta=st.floats(0.0, np.pi, exclude_min=True),
+        z=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+        phase=st.floats(-np.pi, np.pi),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_virtual_z_invariance(self, theta, z, phase, p):
+        # residual Z rotations and a global phase on an exact K_3 block
+        # are corrected away; scaling the block by sqrt(p) leaks 1 - p
         bits, v = _target_unitary(theta)
-        extra = np.exp(1j * (bits @ np.array([0.7, -1.1, 2.2])))
-        u = np.zeros((243, 243), dtype=complex)
-        idx = comp_columns(SPEC)
-        u[np.ix_(idx, idx)] = extra[:, np.newaxis] * v
-        met = gate_metrics(u, theta, SPEC, basis="bare")
+        extra = np.exp(1j * (bits @ np.array(z) + phase))
+        met = gate_metrics(dressed_basis(SPEC) @ (extra[:, np.newaxis] * v), theta, SPEC)
         assert met.infidelity < 1e-9
+        assert met.leakage == pytest.approx(0.0, abs=1e-12)
+        lossy = gate_metrics(np.sqrt(p) * dressed_basis(SPEC), theta, SPEC)
+        assert lossy.leakage == pytest.approx(1 - p, abs=1e-12)
 
     def test_identity_against_full_transfer(self):
         # leaving the state untouched scores 1/3 against K_3(pi)
-        u = np.eye(243, dtype=complex)
-        met = gate_metrics(u, np.pi, SPEC, basis="bare")
+        met = gate_metrics(dressed_basis(SPEC), np.pi, SPEC)
         assert met.avg_fidelity == pytest.approx(1 / 3, abs=1e-6)
 
     def test_leakage_counts_lost_population(self):
-        u = np.zeros((243, 243), dtype=complex)
-        idx = comp_columns(SPEC)
-        u[np.ix_(idx, idx)] = np.eye(8) * np.sqrt(0.9)
-        met = gate_metrics(u, 0.5, SPEC, basis="bare")
+        met = gate_metrics(np.sqrt(0.9) * dressed_basis(SPEC), 0.5, SPEC)
         assert met.leakage == pytest.approx(0.1, rel=1e-9)
 
     def test_dressed_block_propagation_matches_square(self):
-        from fstchain.device import dressed_basis
-
         cfg = PulseConfig(amp1=0.0482063, amp2=0.0485842,
                           wd1=59.5016 * MHZ, wd2=84.4585 * MHZ,
                           tau_final=12e-9)
         w = dressed_basis(SPEC, nmax=4)
         full = propagate(SPEC, cfg, nmax=4)
         block = propagate(SPEC, cfg, nmax=4, columns=w)
-        a = gate_metrics(full, np.pi, SPEC, cfg, nmax=4)
+        a = gate_metrics(full @ w, np.pi, SPEC, cfg, nmax=4)
         b = gate_metrics(block, np.pi, SPEC, cfg, nmax=4)
         assert a.infidelity == pytest.approx(b.infidelity, abs=1e-9)
         assert a.leakage == pytest.approx(b.leakage, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape,nmax",
+        [((243, 243), None), ((147, 147), 5), ((243, 8), 5), ((147, 7), 5), ((8,), None)],
+    )
+    def test_refused_shapes(self, shape, nmax):
+        # a square propagator, the wrong working space or too few columns
+        with pytest.raises(ValueError, match="block"):
+            gate_metrics(np.zeros(shape, dtype=complex), np.pi, SPEC, nmax=nmax)
 
 
 # --------------------------------------------- parity-block references
@@ -528,8 +533,9 @@ class TestParityBlocks:
         if kind == "identity":
             columns, want = None, ref
         elif kind == "index":
-            columns = comp_columns(SPEC, nmax)
-            want = ref[:, columns]
+            # unit columns, each live in one parity block only
+            columns = _unit_columns(nmax)
+            want = ref[:, comp_columns(SPEC, nmax)]
         else:
             # random columns spread over both parity blocks
             rng = np.random.default_rng(dim)
@@ -564,6 +570,12 @@ class TestParityBlocks:
         odd = _OCCUPATION % 2 == 1
         assert not np.any(h[np.ix_(odd, ~odd)])
         assert not np.any(h[np.ix_(~odd, odd)])
+
+    @pytest.mark.parametrize("columns", [np.arange(8), np.zeros((243, 8)), np.zeros((2, 86, 8))])
+    def test_refused_columns(self, columns):
+        # the 1-D index form, a block of the full space at nmax=5, a stack
+        with pytest.raises(ValueError, match=r"\(147, m\) block"):
+            propagate(SPEC, self.PULSE, 2, nmax=5, columns=columns)
 
     def test_parity_breaking_term_is_refused(self, monkeypatch):
         # a single-mode drive (b + b^dag) on q1, folded into its number term

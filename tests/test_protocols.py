@@ -14,7 +14,6 @@ from fstchain.protocols import (
     Scenario,
     correlator_measure,
     parity_measure,
-    populations_csv,
     repeated_parity,
     run_scenario,
 )
@@ -228,11 +227,3 @@ class TestScenario:
         s = Scenario(n_sites=15, theta=np.pi / 2, excitations=())
         res = run_scenario(s, n_steps=20)
         assert np.abs(res.populations).max() < 1e-12
-
-    def test_populations_csv_shape(self):
-        s = Scenario(n_sites=4, theta=1.0, excitations=(2,))
-        res = run_scenario(s, n_steps=10)
-        text = populations_csv(res)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,p_1,p_2,p_3,p_4"
-        assert len(lines) == 12
