@@ -5,6 +5,12 @@ package version, wall time) plus command-specific CSV artifacts into the
 output directory.  Exit codes: 0 success, 1 malformed input, 2 validation
 failure, 3 numerical-tolerance failure.
 
+Each handler ``cmd_*(args, out)`` writes only its own artifacts and returns
+``(inputs, payload, exit_code)``; ``main`` writes ``result.json`` and maps
+errors to exit codes: a ``CliError`` exits with its own code (1 for an
+unreadable or malformed argument or file), any other ``ValueError`` (a
+refused value, ``SynthesisError`` included) exits 2.
+
 Angles accept plain radians or ``pi`` literals such as ``0.5pi``.
 Frequencies on the command line are in Hz (converted to rad/s inside).
 """
@@ -21,10 +27,10 @@ import numpy as np
 
 from . import __version__, device, gates, protocols, synthesis
 from .propagator import (
-    basis_state, check_dense_size, evolve_state, site_populations, split_sectors,
-    state_from_json, write_state_json,
+    basis_state, evolve_state, site_populations, split_sectors, state_from_json,
+    write_state_json,
 )
-from .synthesis import ChainSpec, SynthesisError, synthesize
+from .synthesis import ChainSpec, synthesize
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -74,24 +80,37 @@ def _write_csv(path: Path, header: list, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_input(path: str, parse, what: str):
+    """parse(text of the file at path).  An unreadable or malformed file
+    (a number with no float, nesting too deep to decode included) exits 1;
+    a ValueError from parse, a value that parsed but is refused, reaches
+    main, which exits 2."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            OverflowError, RecursionError) as exc:
+        raise CliError(f"bad {what} file: {exc}", EXIT_BAD_INPUT) from None
+
+
+def _parse_state(text: str) -> np.ndarray:
+    psi = state_from_json(text)
+    # no amplitude of a normalized state exceeds 1 (to parity_measure's 1e-8
+    # tolerance); this also refuses NaN and infinite amplitudes
+    if not (np.abs(psi) <= 1 + 1e-8).all():
+        raise ValueError("state amplitudes must be finite with modulus <= 1")
+    return psi
+
+
 def _chain_spec(args) -> ChainSpec:
-    theta = parse_angle(args.theta)
-    if theta <= 0 or theta > np.pi:
-        clamped = min(max(theta, 1e-6), np.pi)
-        print(
-            f"warning: theta {theta} outside (0, pi]; clamped to {clamped}",
-            file=sys.stderr,
-        )
-        theta = clamped
     return ChainSpec(
         n_sites=args.n,
-        theta=theta,
+        theta=parse_angle(args.theta),
         tau=args.tau,
         j_max=2 * np.pi * args.j_max if args.j_max is not None else None,
     )
 
 
-def cmd_synthesize(args, out: Path, t0: float) -> int:
+def cmd_synthesize(args, out: Path):
     spec = _chain_spec(args)
     params = synthesize(spec)
     _write_csv(
@@ -107,22 +126,17 @@ def cmd_synthesize(args, out: Path, t0: float) -> int:
         ],
     )
     rng = synthesis.detuning_range(params, spec)
-    _write_result(
-        out, "synthesize", json.loads(spec.to_json()),
-        {
-            "tau": params.tau,
-            "couplings": list(params.couplings),
-            "detunings": list(params.detunings),
-            "detuning_range_direct": rng.direct,
-            "detuning_range_formula": rng.formula,
-            "detuning_range_matches_formula": rng.matches_formula,
-        },
-        t0,
-    )
-    return EXIT_OK
+    return json.loads(spec.to_json()), {
+        "tau": params.tau,
+        "couplings": list(params.couplings),
+        "detunings": list(params.detunings),
+        "detuning_range_direct": rng.direct,
+        "detuning_range_formula": rng.formula,
+        "detuning_range_matches_formula": rng.matches_formula,
+    }, EXIT_OK
 
 
-def cmd_spectrum(args, out: Path, t0: float) -> int:
+def cmd_spectrum(args, out: Path):
     spec = _chain_spec(args)
     params = synthesize(spec)
     report = synthesis.spectrum_check(params, spec.theta)
@@ -135,97 +149,67 @@ def cmd_spectrum(args, out: Path, t0: float) -> int:
             for k in range(len(report.eigenvalues))
         ],
     )
-    _write_result(
-        out, "spectrum", json.loads(spec.to_json()),
-        {
-            "nondegenerate": report.nondegenerate,
-            "gap_pattern_ok": report.gap_pattern_ok,
-            "symmetry_alternation_ok": report.symmetry_alternation_ok,
-            "transfer_phase": report.transfer_phase,
-            "failures": report.failures,
-        },
-        t0,
-    )
-    return EXIT_OK if report.ok else EXIT_TOLERANCE
+    return json.loads(spec.to_json()), {
+        "nondegenerate": report.nondegenerate,
+        "gap_pattern_ok": report.gap_pattern_ok,
+        "symmetry_alternation_ok": report.symmetry_alternation_ok,
+        "transfer_phase": report.transfer_phase,
+        "failures": report.failures,
+    }, EXIT_OK if report.ok else EXIT_TOLERANCE
 
 
-def cmd_evolve(args, out: Path, t0: float) -> int:
+def cmd_evolve(args, out: Path):
     spec = _chain_spec(args)
     params = synthesize(spec)
     try:
         sites = [int(s) for s in args.excite.split(",")] if args.excite else []
     except ValueError:
         raise CliError(f"cannot parse --excite {args.excite!r}", EXIT_BAD_INPUT) from None
-    try:
-        psi = (
-            state_from_json(Path(args.state_file).read_text())
-            if args.state_file
-            else basis_state(spec.n_sites, sites)
-        )
-    except (OSError, TypeError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad state file: {exc}", EXIT_BAD_INPUT) from None
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    psi = (
+        _read_input(args.state_file, _parse_state, "state")
+        if args.state_file
+        else basis_state(spec.n_sites, sites)
+    )
     t = args.time * params.tau if args.time_in_tau else args.time
-    try:
-        final = evolve_state(psi, params, t)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    final = evolve_state(psi, params, t)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "state.json", "w") as fh:
         write_state_json(final, fh)
         fh.write("\n")
     pops = site_populations(spec.n_sites, split_sectors(final))
-    _write_result(
-        out, "evolve",
+    return (
         {"spec": json.loads(spec.to_json()), "excite": sites, "t": t},
         {"populations": pops.tolist(), "norm": float(np.linalg.norm(final))},
-        t0,
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
-def cmd_verify_mapping(args, out: Path, t0: float) -> int:
+def cmd_verify_mapping(args, out: Path):
     spec = _chain_spec(args)
-    try:
-        check_dense_size(spec.n_sites)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
     report = gates.verify_mapping(synthesize(spec), spec.theta)
-    _write_result(
-        out, "verify-mapping", json.loads(spec.to_json()),
-        {
-            "distance": report.distance,
-            "transfer_phase": report.transfer_phase,
-            "ok": report.ok,
-        },
-        t0,
-    )
-    return EXIT_OK if report.ok else EXIT_TOLERANCE
+    return json.loads(spec.to_json()), {
+        "distance": report.distance,
+        "transfer_phase": report.transfer_phase,
+        "ok": report.ok,
+    }, EXIT_OK if report.ok else EXIT_TOLERANCE
 
 
-def cmd_decompose(args, out: Path, t0: float) -> int:
+def cmd_decompose(args, out: Path):
     theta = parse_angle(args.theta)
     j_max = 2 * np.pi * args.j_max
     try:
         circuit = gates.compile_decomposition(args.n, theta, j_max)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
     out.mkdir(parents=True, exist_ok=True)
     (out / "circuit.json").write_text(circuit.to_json() + "\n")
     counts = circuit.gate_counts()
-    _write_result(
-        out, "decompose",
-        {"n_sites": args.n, "theta": theta, "j_max": j_max},
-        {
-            "fswap_count": counts.get("FSwap", 0),
-            "iswap_count": counts.get("ISwapTheta", 0),
-            "layers": len(circuit.layers),
-            "total_duration": circuit.total_duration,
-        },
-        t0,
-    )
-    return EXIT_OK
+    return {"n_sites": args.n, "theta": theta, "j_max": j_max}, {
+        "fswap_count": counts.get("FSwap", 0),
+        "iswap_count": counts.get("ISwapTheta", 0),
+        "layers": len(circuit.layers),
+        "total_duration": circuit.total_duration,
+    }, EXIT_OK
 
 
 def _parse_range(text: str):
@@ -239,9 +223,12 @@ def _parse_range(text: str):
     return n_lo, n_hi
 
 
-def cmd_speed_sweep(args, out: Path, t0: float) -> int:
+def cmd_speed_sweep(args, out: Path):
     n_lo, n_hi = _parse_range(args.n)
     thetas = [parse_angle(s) for s in args.theta.split(",")]
+    for theta in thetas:
+        # refuse an oversized chain or a bad angle before any O(N) row is built
+        ChainSpec(n_sites=n_hi, theta=theta, j_max=1.0)
     rows = []
     for n in range(n_lo, n_hi + 1):
         for theta in thetas:
@@ -261,38 +248,26 @@ def cmd_speed_sweep(args, out: Path, t0: float) -> int:
          "asymptote_sqrt3", "asymptote_two"],
         rows,
     )
-    _write_result(
-        out, "speed-sweep", {"n": args.n, "theta": args.theta},
+    return (
+        {"n": args.n, "theta": args.theta},
         {"rows": len(rows), "min_ratio": min(r[5] for r in rows)},
-        t0,
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
-def cmd_parity(args, out: Path, t0: float) -> int:
+def cmd_parity(args, out: Path):
     if not 0 <= args.shots < 2**63:
         raise CliError(f"--shots must be in 0..2^63-1, got {args.shots}", EXIT_VALIDATION)
     if args.state_file:
-        try:
-            psi = state_from_json(Path(args.state_file).read_text())
-        except (OSError, TypeError, json.JSONDecodeError) as exc:
-            raise CliError(f"bad state file: {exc}", EXIT_BAD_INPUT) from None
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
+        psi = _read_input(args.state_file, _parse_state, "state")
     elif args.basis is not None:
         bits = args.basis.strip()
-        if not set(bits) <= {"0", "1"}:
-            raise CliError("basis must be a 0/1 string", EXIT_BAD_INPUT)
-        try:
-            psi = basis_state(len(bits), [i + 1 for i, b in enumerate(bits) if b == "1"])
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
+        if not bits or not set(bits) <= {"0", "1"}:
+            raise CliError("basis must be a non-empty 0/1 string", EXIT_BAD_INPUT)
+        psi = basis_state(len(bits), [i + 1 for i, b in enumerate(bits) if b == "1"])
     else:
         raise CliError("need --state-file or --basis", EXIT_BAD_INPUT)
-    try:
-        res = protocols.parity_measure(psi)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    res = protocols.parity_measure(psi)
     payload = {
         "left_ancilla_one_probability": res.left_ancilla_one_probability,
         "inferred_parity": res.inferred_parity,
@@ -304,81 +279,52 @@ def cmd_parity(args, out: Path, t0: float) -> int:
             rng.binomial(args.shots, res.left_ancilla_one_probability)
         )
         payload["shots"] = args.shots
-    _write_result(
-        out, "parity",
-        {"basis": args.basis, "state_file": args.state_file, "shots": args.shots,
-         "seed": args.seed},
-        payload, t0,
-    )
-    return EXIT_OK
+    inputs = {"basis": args.basis, "state_file": args.state_file, "shots": args.shots,
+              "seed": args.seed}
+    return inputs, payload, EXIT_OK
 
 
-def cmd_scenario(args, out: Path, t0: float) -> int:
-    try:
-        scenario = protocols.Scenario.from_json(Path(args.scenario).read_text())
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad scenario file: {exc}", EXIT_BAD_INPUT) from None
-    except ValueError as exc:
-        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
-    try:
-        result = protocols.run_scenario(scenario, n_steps=args.steps)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+def cmd_scenario(args, out: Path):
+    scenario = _read_input(args.scenario, protocols.Scenario.from_json, "scenario")
+    result = protocols.run_scenario(scenario, n_steps=args.steps)
     n = scenario.n_sites
     _write_csv(
         out / "populations.csv", ["t"] + [f"p_{i}" for i in range(1, n + 1)],
         ([t, *row] for t, row in zip(result.times, result.populations)),
     )
-    _write_result(
-        out, "scenario", json.loads(scenario.to_json()),
-        {
-            "tau": result.tau,
-            "final_populations": [float(p) for p in result.populations[-1]],
-        },
-        t0,
-    )
-    return EXIT_OK
+    return json.loads(scenario.to_json()), {
+        "tau": result.tau,
+        "final_populations": [float(p) for p in result.populations[-1]],
+    }, EXIT_OK
 
 
 def _device_spec(args) -> device.DeviceSpec:
     if args.device:
-        try:
-            return device.DeviceSpec.from_json(Path(args.device).read_text())
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"bad device file: {exc}", EXIT_BAD_INPUT) from None
+        return _read_input(args.device, device.DeviceSpec.from_json, "device")
     return device.table_s1_spec()
 
 
-def cmd_device_optimize(args, out: Path, t0: float) -> int:
+def cmd_device_optimize(args, out: Path):
     spec = _device_spec(args)
     theta = parse_angle(args.theta)
-    try:
-        seed_cfg = device.seed_pulse_config(spec, theta, args.tau_final)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    seed_cfg = device.seed_pulse_config(spec, theta, args.tau_final)
     res = device.optimize_pulse(spec, theta, seed_cfg, budget=args.budget)
     _write_csv(
         out / "trace.csv",
         ["eval", "infidelity", "leakage", "phiA1", "phiA2", "wd1", "wd2", "wall_s"],
         [(int(e[0]),) + tuple(float(v) for v in e[1:]) for e in res.trace],
     )
-    _write_result(
-        out, "device-optimize",
-        {"theta": theta, "tau_final": args.tau_final, "budget": args.budget},
-        {
-            "infidelity": res.metrics.infidelity,
-            "leakage": res.metrics.leakage,
-            "z_corrections": list(res.metrics.z_corrections),
-            "config": json.loads(res.config.to_json()),
-            "n_evaluations": res.n_evaluations,
-            "converged": res.converged,
-        },
-        t0,
-    )
-    return EXIT_OK if res.converged else EXIT_TOLERANCE
+    return {"theta": theta, "tau_final": args.tau_final, "budget": args.budget}, {
+        "infidelity": res.metrics.infidelity,
+        "leakage": res.metrics.leakage,
+        "z_corrections": list(res.metrics.z_corrections),
+        "config": json.loads(res.config.to_json()),
+        "n_evaluations": res.n_evaluations,
+        "converged": res.converged,
+    }, EXIT_OK if res.converged else EXIT_TOLERANCE
 
 
-def cmd_device_zz_scan(args, out: Path, t0: float) -> int:
+def cmd_device_zz_scan(args, out: Path):
     if not 1 <= args.points <= 10**6:
         raise CliError(f"--points must be in 1..10^6, got {args.points}", EXIT_VALIDATION)
     if not np.isfinite([args.phi_min, args.phi_max]).all():
@@ -403,13 +349,11 @@ def cmd_device_zz_scan(args, out: Path, t0: float) -> int:
     z12s = np.array([r[1] for r in rows])
     signs = np.sign(z12s[~np.isnan(z12s)])
     crossings = int(np.sum(np.abs(np.diff(signs)) > 0))
-    _write_result(
-        out, "device-zz-scan",
+    return (
         {"phi_min": args.phi_min, "phi_max": args.phi_max, "points": args.points},
         {"sign_changes_zeta12": crossings},
-        t0,
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,14 +429,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+    out = Path(args.out)
     try:
-        return _HANDLERS[args.command](args, Path(args.out), t0)
+        inputs, payload, code = _HANDLERS[args.command](args, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except SynthesisError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write_result(out, args.command, inputs, payload, t0)
+    return code
 
 
 if __name__ == "__main__":

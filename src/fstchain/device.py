@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -84,6 +84,9 @@ class DeviceSpec:
     phi_dc2: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for d in (self.dc1, self.dc2):
             if not 0.0 <= d <= 1.0:
                 raise ValueError(f"asymmetry d must be in [0, 1], got {d}")
@@ -112,35 +115,20 @@ class DeviceSpec:
     def from_json(cls, s: str) -> "DeviceSpec":
         """Load a Table-S1-style JSON (GHz; coupler entries at the bias)."""
         d = json.loads(s)
-        dc1, dc2 = float(d.get("dc1", 0.5)), float(d.get("dc2", 0.5))
-        phi1, phi2 = float(d.get("phi_dc1", 0.3)), float(d.get("phi_dc2", 0.3))
-        ac1, ac2 = float(d["ac1"]) * GHZ, float(d["ac2"]) * GHZ
+        if not isinstance(d, dict):
+            raise TypeError("a device spec must be a JSON object")
+        flux = {k: float(d.get(k, v)) for k, v in
+                (("dc1", 0.5), ("dc2", 0.5), ("phi_dc1", 0.3), ("phi_dc2", 0.3))}
+        # checked (finite, d in [0, 1]) before the coupler entries move from
+        # the bias point to zero flux
+        b = cls(**{f.name: float(d[f.name]) * GHZ for f in fields(cls) if f.name not in flux},
+                **flux)
 
         def bare(w_at_bias, alpha, dd, phi):
             return alpha + (w_at_bias - alpha) / _flux_factor(phi, dd)
 
-        return cls(
-            w1=float(d["w1"]) * GHZ,
-            w2=float(d["w2"]) * GHZ,
-            w3=float(d["w3"]) * GHZ,
-            wc1=bare(float(d["wc1"]) * GHZ, ac1, dc1, phi1),
-            wc2=bare(float(d["wc2"]) * GHZ, ac2, dc2, phi2),
-            a1=float(d["a1"]) * GHZ,
-            a2=float(d["a2"]) * GHZ,
-            a3=float(d["a3"]) * GHZ,
-            ac1=ac1,
-            ac2=ac2,
-            g1c1=float(d["g1c1"]) * GHZ,
-            g2c1=float(d["g2c1"]) * GHZ,
-            g2c2=float(d["g2c2"]) * GHZ,
-            g3c2=float(d["g3c2"]) * GHZ,
-            g12=float(d["g12"]) * GHZ,
-            g23=float(d["g23"]) * GHZ,
-            dc1=dc1,
-            dc2=dc2,
-            phi_dc1=phi1,
-            phi_dc2=phi2,
-        )
+        return replace(b, wc1=bare(b.wc1, b.ac1, b.dc1, b.phi_dc1),
+                       wc2=bare(b.wc2, b.ac2, b.dc2, b.phi_dc2))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -750,11 +738,14 @@ def gate_metrics(
     def neg_overlap(z):
         return -abs(np.sum(np.exp(-1j * (_COMP_BITS @ z)) * w))
 
+    # w_k = c e^{i bits_k . z} for an exactly Z-rotated target: the phases of
+    # w_100, w_010, w_001 against w_000 are the optimum itself
+    informed = np.angle(w[[4, 2, 1]] * np.conj(w[0]))
     best = min(
         (
             minimize(neg_overlap, z0, method="Nelder-Mead",
                      options={"xatol": 1e-10, "fatol": 1e-14})
-            for z0 in (np.zeros(3), np.full(3, np.pi / 2), -np.angle(w[[4, 2, 1]]))
+            for z0 in (np.zeros(3), np.full(3, np.pi / 2), informed)
         ),
         key=lambda r: r.fun,
     )

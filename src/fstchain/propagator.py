@@ -343,5 +343,12 @@ def state_to_json(psi: np.ndarray) -> str:
 
 
 def state_from_json(s: str) -> np.ndarray:
-    pairs = json.loads(s)
-    return np.array([complex(re, im) for re, im in pairs])
+    """Read a state written by write_state_json; anything other than a JSON
+    list of [re, im] number pairs raises TypeError."""
+    pairs = json.loads(s, parse_int=float)
+    if type(pairs) is not list or not all(
+        type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float
+        for p in pairs
+    ):
+        raise TypeError("a state must be a JSON list of [re, im] number pairs")
+    return np.array(pairs, dtype=float).reshape(-1, 2).view(complex).ravel()

@@ -29,7 +29,7 @@ __all__ = [
 
 
 # largest dense matrix, in entries (2^24 complex entries = 256 MB): the
-# N x N single-excitation matrix (N <= 4096) and the 2^N x 2^N oracle,
+# N x N single-excitation matrix (so ChainSpec takes N <= 4096) and the 2^N x 2^N oracle,
 # lift, G_N and K_N matrices (N <= 12)
 DENSE_MATRIX_LIMIT = 2**24
 
@@ -43,7 +43,8 @@ class ChainSpec:
     """Target of the synthesis: chain length, angle and one time scale.
 
     Exactly one of ``tau`` (seconds) or ``j_max`` (rad/s) must be given.
-    theta is in radians and must lie in (0, pi].
+    theta is in radians and must lie in (0, pi]; n_sites lies in 2..4096
+    (N^2 <= DENSE_MATRIX_LIMIT).
     """
 
     n_sites: int
@@ -54,6 +55,9 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise SynthesisError(f"n_sites must be >= 2, got {self.n_sites}")
+        if self.n_sites**2 > DENSE_MATRIX_LIMIT:
+            raise SynthesisError(f"n_sites {self.n_sites} above the chain limit: N^2 > "
+                                 f"{DENSE_MATRIX_LIMIT} (N <= 4096)")
         if not (0.0 < self.theta <= np.pi):
             raise SynthesisError(f"theta must be in (0, pi], got {self.theta}")
         if (self.tau is None) == (self.j_max is None):

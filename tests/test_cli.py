@@ -79,13 +79,37 @@ class TestSynthesize:
         assert (a / "chain.csv").read_bytes() == (b / "chain.csv").read_bytes()
         assert _result_without_wall_time(a) == _result_without_wall_time(b)
 
-    def test_theta_clamped_with_warning(self, tmp_path, capsys):
+    def test_theta_out_of_range_refused(self, tmp_path, capsys):
+        # theta outside (0, pi] is refused, not clamped
+        for theta in ("1.5pi", "0", "-0.1"):
+            out = tmp_path / theta
+            code = main(["--out", str(out), "synthesize", "--n", "4",
+                         "--theta", theta, "--tau", "1.0"])
+            assert code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: theta") and err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synthesize", "--n", "30000000", "--theta", "pi", "--tau", "1"],
+         ["speed-sweep", "--n", "5..100000000", "--theta", "pi"]],
+    )
+    def test_oversized_chain_refused(self, tmp_path, capsys, argv):
+        # N > 4096 is refused by ChainSpec before any O(N) array or row
         out = tmp_path / "o"
-        code = main(["--out", str(out), "synthesize", "--n", "4",
-                     "--theta", "1.5pi", "--tau", "1.0"])
-        assert code == EXIT_OK
-        assert "clamped" in capsys.readouterr().err
-        assert _result(out)["inputs"]["theta"] == pytest.approx(np.pi)
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(out)] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit" in err
+        assert not out.exists()
 
     def test_bad_n_is_validation_error(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "synthesize", "--n", "1",
@@ -386,9 +410,12 @@ class TestParity:
     def test_missing_input(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "parity"]) == EXIT_BAD_INPUT
 
-    def test_bad_basis(self, tmp_path):
-        code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "01a"])
-        assert code == EXIT_BAD_INPUT
+    def test_bad_basis(self, tmp_path, capsys):
+        for basis in ("01a", "", " "):
+            out = tmp_path / "o"
+            assert main(["--out", str(out), "parity", "--basis", basis]) == EXIT_BAD_INPUT
+            assert capsys.readouterr().err == "error: basis must be a non-empty 0/1 string\n"
+            assert not out.exists()
 
     def test_oversized_basis_refused(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "parity", "--basis", "0" * 40])
@@ -397,7 +424,8 @@ class TestParity:
     @pytest.mark.parametrize(
         "content,code",
         [(None, EXIT_BAD_INPUT), ("[[1, 0],", EXIT_BAD_INPUT),
-         ("[[1, 0], [0, 0], [0, 0]]", EXIT_VALIDATION), ("[]", EXIT_VALIDATION)],
+         ("[[1, 0], [0, 0], [0, 0]]", EXIT_VALIDATION), ("[]", EXIT_VALIDATION),
+         ("[[1, 2, 3]]", EXIT_BAD_INPUT), ('{"a": 1}', EXIT_BAD_INPUT)],
     )
     def test_bad_state_file(self, tmp_path, capsys, content, code):
         path = tmp_path / "state.json"
@@ -550,6 +578,35 @@ class TestDeviceBadInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "content,code",
+        [(None, EXIT_BAD_INPUT), ('{"w1":', EXIT_BAD_INPUT), ("missing w1", EXIT_BAD_INPUT),
+         ("[]", EXIT_BAD_INPUT), ("nested too deep", EXIT_BAD_INPUT),
+         ("dc1 2", EXIT_VALIDATION), ("w1 NaN", EXIT_VALIDATION)],
+    )
+    def test_bad_device_file(self, tmp_path, capsys, content, code):
+        # unreadable or malformed -> 1; a value that parsed but is refused -> 2
+        path = tmp_path / "device.json"
+        body = json.loads(device.table_s1_spec().to_json())
+        if content == "nested too deep":
+            content = "[" * 100_000 + "]" * 100_000
+        elif content == "w1 NaN":
+            content = json.dumps({**body, "w1": float("nan")})
+        elif content == "missing w1":
+            del body["w1"]
+            content = json.dumps(body)
+        elif content == "dc1 2":
+            content = json.dumps({**body, "dc1": 2})
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "device-zz-scan", "--points", "1", "--device", str(path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "result.json").exists()
+
+
 def _no_propagation(*args, **kwargs):
     raise AssertionError("refused input reached the propagator")
 
@@ -590,9 +647,59 @@ _STATE_REFUSED = (25, 30, 40)
 
 
 _SCENARIO_TIMES = st.floats(-1, 3) | st.sampled_from(
-    [0, 2, float("nan"), float("inf"), "1", None, True]
+    [0, 2, float("nan"), float("inf"), 10**400, "1", None, True]
 )
 _SCENARIO_SITES = st.integers(-1, 11) | st.sampled_from(["3", 2.0, True, None])
+
+
+class _Body(str):
+    """JSON text that the fuzz test writes to a file and passes by its path."""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _state_body(draw):
+    """A state JSON text: 2^n [re, im] pairs (n in 0..4), normalized or
+    with components of any size and kind, or any JSON value."""
+    kind = draw(st.sampled_from(["normalized", "pairs", "json"]))
+    if kind == "json":
+        return _Body(json.dumps(draw(_JSON)))
+    n = draw(st.integers(0, 4))
+    amp = st.floats(-1, 1) if kind == "normalized" else st.floats() | st.integers(-1, 1)
+    pairs = draw(st.lists(st.tuples(amp, amp), min_size=2**n, max_size=2**n))
+    if kind == "normalized":
+        pairs = np.array(pairs)
+        norm = np.linalg.norm(pairs)
+        pairs = (pairs / norm if norm > 0 else pairs).tolist()
+    return _Body(json.dumps(pairs))
+
+
+_DEVICE = json.loads(device.table_s1_spec().to_json())
+
+
+@st.composite
+def _device_body(draw):
+    """A device JSON text: Table S1 with up to two fields missing or drawn
+    out of range or of the wrong type, or any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return _Body(json.dumps(draw(_JSON)))
+    body = dict(_DEVICE)
+    value = (st.floats(-10, 10) | st.sampled_from([0, 2, -1, 1e300, 10**400, None, "x", [1.0]])
+             | st.floats())
+    for key in draw(st.lists(st.sampled_from(sorted(body)), max_size=2)):
+        if draw(st.booleans()):
+            body.pop(key, None)
+        else:
+            body[key] = draw(value)
+    return _Body(json.dumps(body))
 
 
 @st.composite
@@ -603,11 +710,11 @@ def _scenario_body(draw):
         n = draw(st.integers(2, 9))
         sites = st.integers(1, n)
         times = sorted(draw(st.lists(st.floats(0.0, 2.0), max_size=3)))
-        return json.dumps({
+        return _Body(json.dumps({
             "n_sites": n, "theta": draw(st.floats(0.05, np.pi)),
             "excitations": draw(st.lists(sites, unique=True, max_size=min(n, 4))),
             "events": [{"t": t, "kind": "xflip", "site": draw(sites)} for t in times],
-        })
+        }))
     event = st.fixed_dictionaries({
         "t": _SCENARIO_TIMES, "kind": st.sampled_from(["xflip", "zflip"]),
         "site": _SCENARIO_SITES,
@@ -623,16 +730,16 @@ def _scenario_body(draw):
         body["t_final"] = draw(_SCENARIO_TIMES)
     if draw(st.booleans()):
         del body[draw(st.sampled_from(sorted(body)))]
-    return draw(st.just(json.dumps(body)) | st.sampled_from(["[]", "3", "{", "null"]))
+    return _Body(draw(st.just(json.dumps(body)) | st.sampled_from(["[]", "3", "{", "null"])))
 
 
 @st.composite
 def _cli_argv(draw):
     """Arguments for parity, decompose, speed-sweep, device-zz-scan,
-    synthesize, spectrum, scenario (the scenario's JSON text in place of
-    its file name), verify-mapping or evolve, sizes kept small or above
-    the size guards, and for device-optimize with the angle or the gate
-    length out of range."""
+    synthesize, spectrum, scenario, verify-mapping or evolve, sizes kept
+    small or above the size guards, and for device-optimize with the angle
+    or the gate length out of range.  An input file (scenario, --state-file,
+    --device) appears as its JSON text, a _Body, in place of its path."""
     command = draw(st.sampled_from(
         ["parity", "decompose", "speed-sweep", "device-zz-scan", "device-optimize",
          "synthesize", "spectrum", "scenario", "verify-mapping", "evolve"]
@@ -649,13 +756,16 @@ def _cli_argv(draw):
     if command == "evolve":
         n = draw(st.integers(-2, 12) | st.sampled_from(_STATE_REFUSED))
         sites = draw(st.lists(st.integers(-1, 13), max_size=3))
+        state = draw(st.just(["--excite", ",".join(map(str, sites))])
+                     | _state_body().map(lambda body: ["--state-file", body]))
         return ["evolve", "--n", str(n), "--theta", draw(_ANGLES), "--tau", draw(_FLOATS),
-                "--excite", ",".join(map(str, sites)), "--time", draw(_FLOATS)]
+                *state, "--time", draw(_FLOATS)]
     if command == "device-zz-scan":
         phis = st.sampled_from(["0", "0.3", "0.45", "-1", "2", "1e300", "nan", "inf", "x"])
         points = st.sampled_from(["-1", "0", "1", "2", "3", str(10**7), "2.5"])
+        spec = draw(st.just([]) | _device_body().map(lambda body: ["--device", body]))
         return ["device-zz-scan", "--phi-min", draw(phis), "--phi-max", draw(phis),
-                "--points", draw(points)]
+                "--points", draw(points), *spec]
     if command == "device-optimize":
         bad_theta = st.sampled_from(["0", "-0.4", "2pi", "nan", "inf", "x"])
         bad_tau = st.sampled_from(["0", "-1", "-212e-9", "nan", "inf", "1e-12", "abc"])
@@ -664,7 +774,9 @@ def _cli_argv(draw):
     if command == "parity":
         basis = draw(st.text(alphabet="01", max_size=8) | st.sampled_from(["01a", " 1"]))
         shots = draw(st.integers(-10, 10**6) | st.just(2**64))
-        return ["parity", "--basis", basis, "--shots", str(shots),
+        state = draw(st.just(["--basis", basis])
+                     | _state_body().map(lambda body: ["--state-file", body]))
+        return ["parity", *state, "--shots", str(shots),
                 "--seed", str(draw(st.integers(0, 99)))]
     if command == "decompose":
         return ["decompose", "--n", str(draw(st.integers(-2, 9))),
@@ -691,10 +803,11 @@ def test_cli_fuzz_exits_cleanly(argv):
     refused = _refused_size(argv)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             mock.patch.object(device, "propagate", _no_propagation):
-        if argv[0] == "scenario":
-            path = Path(tmp) / "scenario.json"
-            path.write_text(argv[1])
-            argv = [argv[0], str(path)] + argv[2:]
+        path = Path(tmp) / "input.json"
+        for arg in argv:
+            if isinstance(arg, _Body):
+                path.write_text(arg)
+        argv = [str(path) if isinstance(arg, _Body) else arg for arg in argv]
         if refused:
             tracemalloc.start()
         try:

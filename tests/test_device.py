@@ -1,11 +1,13 @@
 import json
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from fstchain import device, gates
 from fstchain.device import (
@@ -415,6 +417,28 @@ class TestGateMetrics:
         assert met.leakage == pytest.approx(0.0, abs=1e-12)
         lossy = gate_metrics(np.sqrt(p) * dressed_basis(SPEC), theta, SPEC)
         assert lossy.leakage == pytest.approx(1 - p, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        theta=st.floats(0.0, np.pi, exclude_min=True),
+        z=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+        phase=st.floats(-np.pi, np.pi),
+    )
+    def test_informed_start_is_the_optimum(self, theta, z, phase):
+        # on an exactly Z-rotated K_3 block the third Nelder-Mead start,
+        # angle(w_q conj(w_0)), already scores the full overlap 8
+        bits, v = _target_unitary(theta)
+        extra = np.exp(1j * (bits @ np.array(z) + phase))
+        start_overlaps = []
+
+        def spy(fun, x0, **kwargs):
+            start_overlaps.append(-fun(x0))
+            return minimize(fun, x0, **kwargs)
+
+        with mock.patch.object(device, "minimize", spy):
+            gate_metrics(dressed_basis(SPEC) @ (extra[:, np.newaxis] * v), theta, SPEC)
+        assert len(start_overlaps) == 3
+        assert start_overlaps[2] == pytest.approx(8.0, abs=1e-12)
 
     def test_identity_against_full_transfer(self):
         # leaving the state untouched scores 1/3 against K_3(pi)
