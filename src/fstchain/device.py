@@ -231,17 +231,10 @@ def flux_to_frequency(spec: DeviceSpec, coupler: int, phi) -> float:
     return alpha + (w0 - alpha) * _flux_factor(phi, d)
 
 
-def _kron_chain(ops) -> np.ndarray:
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    return out
-
-
 def _mode_op(op: np.ndarray, mode: int) -> np.ndarray:
-    ops = [np.eye(_LEVELS)] * _MODES
-    ops[mode] = op
-    return _kron_chain(ops)
+    """``op`` on one mode, the identity on the modes before and after it."""
+    before, after = _LEVELS**mode, _LEVELS ** (_MODES - 1 - mode)
+    return np.kron(np.kron(np.eye(before), op), np.eye(after))
 
 
 class _Operators:
@@ -396,16 +389,25 @@ def propagate(
     return u
 
 
+def _diagonal(a) -> np.ndarray:
+    """Writable strided view of the diagonal of a square C-contiguous a."""
+    return a.reshape(-1)[:: len(a) + 1]
+
+
 def _eigh_stepper(h0, nc1, nc2):
     """Half-step x -> exp(-i dt h) x with h = h0/2 + alpha nc1 + beta nc2,
-    by diagonalising h."""
+    by diagonalising h.  h is real, so its eigenvectors v are real, and
+    both products with v are real products on the (d, 2m) view of x."""
     h = 0.5 * h0
     static = np.diag(h).copy()
+    diag = _diagonal(h)
 
     def step(alpha, beta, dt, x):
-        np.fill_diagonal(h, static + (alpha * nc1 + beta * nc2))
+        np.add(static, alpha * nc1 + beta * nc2, out=diag)
         w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w * dt)) @ (v.conj().T @ x)
+        y = (v.T @ np.ascontiguousarray(x, dtype=complex).view(float)).view(complex)
+        y *= np.exp(-1j * w * dt)[:, np.newaxis]
+        return (v @ y.view(float)).view(complex)
 
     return step
 
@@ -433,48 +435,61 @@ def _chebyshev_stepper(h0, nc1, nc2, alphas, betas, widths):
     """Half-step x -> exp(-i dt h) x with h = h0/2 + alpha nc1 + beta nc2 by
     a Chebyshev expansion in h (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
     3967 (1984)), for alpha in ``alphas``, beta in ``betas`` and dt in
-    ``widths``; also returns the number of terms at the widest step.
+    ``widths``; also returns the largest number of terms (that of the
+    widest step).
 
     The off-diagonal part of h never changes and nc1, nc2 >= 0, so one
     Gershgorin interval [c - r, c + r] holds the spectrum of every
     half-step of the pulse; the coefficients then depend on dt alone.
     The three-term recurrence runs on the real view of x, (d, 2m), so
     each term is one real product, and the terms are summed at the end.
+    The terms live in one buffer, made at the first call for the shape of
+    its x and reused while x keeps that shape; each call returns a new
+    array.
     """
     static = 0.5 * np.diag(h0)
     radii = 0.5 * (np.abs(h0).sum(axis=1) - np.abs(np.diag(h0)))
     lo = np.min(static - radii + alphas.min() * nc1 + betas.min() * nc2)
     hi = np.max(static + radii + alphas.max() * nc1 + betas.max() * nc2)
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0
-    # b = 2 (h - c) / r, of which only the diagonal changes per half-step
+    # b = 2 (h - c) / r, of which only the diagonal, s0 + alpha s1 + beta
+    # s2, changes per half-step
     b = h0 / radius
+    diag = _diagonal(b)
+    s0, s1, s2 = (2 / radius) * (static - center), (2 / radius) * nc1, (2 / radius) * nc2
     coefficients = {dt: _chebyshev_coefficients(center, radius, dt)
                     for dt in np.unique(widths)}
+    n_terms = max(a.size for a in coefficients.values())
+    t = terms = None
 
     def step(alpha, beta, dt, x):
-        np.fill_diagonal(b, (2 / radius) * (static - center + alpha * nc1 + beta * nc2))
+        nonlocal t, terms
+        np.add(s0, alpha * s1 + beta * s2, out=diag)
         a = coefficients[dt]
-        xr = x.view(float)
-        t = np.empty((a.size,) + xr.shape)
-        t[0] = xr
-        np.matmul(b, xr, out=t[1])
-        t[1] *= 0.5
+        if t is None or t.shape[1:] != (len(x), 2 * x.shape[1]):
+            t = np.empty((n_terms, len(x), 2 * x.shape[1]))
+            terms = list(t)
+        terms[0].view(complex)[...] = x
+        np.matmul(b, terms[0], out=terms[1])
+        terms[1] *= 0.5
         for k in range(2, a.size):
-            np.matmul(b, t[k - 1], out=t[k])
-            t[k] -= t[k - 2]
-        return (a @ t.view(complex).reshape(a.size, -1)).reshape(x.shape)
+            np.matmul(b, terms[k - 1], out=terms[k])
+            terms[k] -= terms[k - 2]
+        return (a @ t[: a.size].view(complex).reshape(a.size, -1)).reshape(x.shape)
 
-    return step, coefficients[np.max(widths)].size
+    return step, n_terms
 
 
 def _chebyshev_is_cheaper(rows: int, columns: int, terms: int) -> bool:
     """Cost rule between the two half-steppers for a d-row block with m
-    columns and K Chebyshev terms.  Least-squares fit to single-threaded
-    timings of one half-step (d = 16..122, m = 1..d; 2.1 GHz Xeon, us):
-    eigh ~ 50 + 0.13 d^2, Chebyshev ~ K (4.1 + 1.1e-4 d^2 m).  The
-    per-term overhead is taken as 4.5 us, which keeps the 16-row block of
-    nmax=3, a near tie (92 vs 104 us), on eigh."""
-    return terms * (4.5 + 1.1e-4 * rows**2 * columns) < 50 + 0.13 * rows**2
+    columns and K Chebyshev terms.  Relative least-squares fit to
+    single-threaded timings of one half-step (the blocks of nmax = 3, 4,
+    5 and None, d = 16..122, m = 1..d; us): eigh ~ 30 + 0.092 d^2,
+    Chebyshev ~ K (2.2 + 7.5e-5 d^2 m).  It picks the faster stepper at
+    110 of 114 timed points, and the other four are within 27%.  The
+    16-row block of nmax=3 with 4 columns is a near tie: at 4 substeps
+    (K = 19) it goes to Chebyshev, measured 38 against 51 us."""
+    return terms * (2.2 + 7.5e-5 * rows**2 * columns) < 30 + 0.092 * rows**2
 
 
 def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
@@ -715,7 +730,9 @@ def gate_metrics(
     the frame rotating at (w~2 + wd1, w~2, w~2 + wd2) over tau_final (when
     cfg is given), the fixed Z-corrections exp(i theta/2 n_1,3)
     exp(i theta n_2) are folded into the target, and three residual
-    virtual-Z angles plus the global phase are optimized away.
+    virtual-Z angles plus the global phase are optimized away: BFGS with
+    the analytic gradient of -|S(z)|^2 from three starts, of which the
+    best is kept.
     """
     w_basis = dressed_basis(spec, nmax)
     if np.shape(u_sim) != w_basis.shape:
@@ -735,22 +752,24 @@ def gate_metrics(
     trace_mm = float(np.trace(m.conj().T @ m).real)
     w = np.diag(m @ v.conj().T)
 
-    def neg_overlap(z):
-        return -abs(np.sum(np.exp(-1j * (_COMP_BITS @ z)) * w))
+    def neg_overlap_sq(z):
+        # -|S(z)|^2 with S(z) = sum_k w_k e^{-i bits_k . z}, and its gradient
+        # -2 Re(conj(S) dS/dz) = -2 Im(conj(S) sum_k bits_k w_k e^{-i bits_k . z})
+        terms = w * np.exp(-1j * (_COMP_BITS @ z))
+        s = terms.sum()
+        return -abs(s) ** 2, -2 * (np.conj(s) * (_COMP_BITS.T @ terms)).imag
 
     # w_k = c e^{i bits_k . z} for an exactly Z-rotated target: the phases of
     # w_100, w_010, w_001 against w_000 are the optimum itself
     informed = np.angle(w[[4, 2, 1]] * np.conj(w[0]))
     best = min(
         (
-            minimize(neg_overlap, z0, method="Nelder-Mead",
-                     options={"xatol": 1e-10, "fatol": 1e-14})
+            minimize(neg_overlap_sq, z0, method="BFGS", jac=True, options={"gtol": 1e-6})
             for z0 in (np.zeros(3), np.full(3, np.pi / 2), informed)
         ),
         key=lambda r: r.fun,
     )
-    overlap = -best.fun
-    fid = (trace_mm + overlap**2) / (d * (d + 1))
+    fid = (trace_mm - best.fun) / (d * (d + 1))
     # leakage: population left outside the computational block, averaged
     # over computational input states (frame phases do not affect it)
     leak = 1.0 - float(np.mean(np.sum(np.abs(m) ** 2, axis=0)))
@@ -779,8 +798,10 @@ def optimize_pulse(
     """Optimize {amp1, amp2, wd1, wd2} to minimize the K_3 infidelity.
 
     The inner loop propagates on the boson-number-truncated space with a
-    coarse substep (accurate to ~1e-3, enough to steer to <1e-2); the
-    returned metrics are re-evaluated with the optimized parameters.
+    coarse substep (at the default 4 substeps per sample the infidelity
+    of the 212 ns theta=pi seed pulse differs from a 32-substep reference
+    by 4.1e-10);
+    the returned metrics are re-evaluated with the optimized parameters.
     The search stops as soon as the best infidelity falls below
     target_infidelity or the evaluation budget is exhausted.  The search
     is L-BFGS-B with finite-difference gradients.
@@ -800,6 +821,8 @@ def optimize_pulse(
     def objective(x):
         if len(trace) >= budget or best[0] < target_infidelity:
             raise _Done
+        if len(trace) == 1 and np.array_equal(x, x0):
+            return trace[0][1]  # L-BFGS-B's first call repeats the pre-check
         t0 = time.perf_counter()
         cfg = replace(
             initial, amp1=abs(x[0]), amp2=abs(x[1]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from fstchain import device, gates
@@ -425,20 +426,49 @@ class TestGateMetrics:
         phase=st.floats(-np.pi, np.pi),
     )
     def test_informed_start_is_the_optimum(self, theta, z, phase):
-        # on an exactly Z-rotated K_3 block the third Nelder-Mead start,
-        # angle(w_q conj(w_0)), already scores the full overlap 8
+        # on an exactly Z-rotated K_3 block the third start,
+        # angle(w_q conj(w_0)), already scores the full overlap 8 (the
+        # objective is -overlap^2, returned with its gradient)
         bits, v = _target_unitary(theta)
         extra = np.exp(1j * (bits @ np.array(z) + phase))
         start_overlaps = []
 
         def spy(fun, x0, **kwargs):
-            start_overlaps.append(-fun(x0))
+            start_overlaps.append(np.sqrt(-fun(x0)[0]))
             return minimize(fun, x0, **kwargs)
 
         with mock.patch.object(device, "minimize", spy):
             gate_metrics(dressed_basis(SPEC) @ (extra[:, np.newaxis] * v), theta, SPEC)
         assert len(start_overlaps) == 3
         assert start_overlaps[2] == pytest.approx(8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_fit_matches_nelder_mead(self, seed):
+        # near-Z-rotated K_3 blocks: a random unitary kick exp(-i eps H),
+        # eps from 1e-4 to 0.3, after random Z angles and a global phase;
+        # the reference is Nelder-Mead on -|S(z)| from the same three starts
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.1, np.pi)
+        bits, v = _target_unitary(theta)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        kick = expm(-1j * 10.0 ** rng.uniform(-4, -0.5) * (a + a.conj().T))
+        extra = np.exp(1j * (bits @ rng.uniform(-np.pi, np.pi, 3) + rng.uniform(-np.pi, np.pi)))
+        block = kick @ (extra[:, np.newaxis] * v)
+        met = gate_metrics(dressed_basis(SPEC) @ block, theta, SPEC)
+
+        w = np.diag(block @ v.conj().T)
+
+        def neg_overlap(z):
+            return -abs(np.sum(np.exp(-1j * (bits @ z)) * w))
+
+        starts = (np.zeros(3), np.full(3, np.pi / 2), np.angle(w[[4, 2, 1]] * np.conj(w[0])))
+        overlap = -min(
+            minimize(neg_overlap, z0, method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-14}).fun
+            for z0 in starts
+        )
+        want = (np.trace(block.conj().T @ block).real + overlap**2) / 72
+        assert met.avg_fidelity == pytest.approx(want, abs=1e-12)
 
     def test_identity_against_full_transfer(self):
         # leaving the state untouched scores 1/3 against K_3(pi)
@@ -601,6 +631,23 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match=r"\(147, m\) block"):
             propagate(SPEC, self.PULSE, 2, nmax=5, columns=columns)
 
+    def test_mode_op_matches_five_factor_chain(self, monkeypatch):
+        def chain(op, mode):
+            factors = [np.eye(3)] * 5
+            factors[mode] = op
+            out = factors[0]
+            for f in factors[1:]:
+                out = np.kron(out, f)
+            return out
+
+        b = np.diag(np.sqrt([1.0, 2.0]), 1)
+        for op in (b.T @ b, b.T @ b.T @ b @ b, b.T - b):
+            for mode in range(5):
+                assert np.array_equal(device._mode_op(op, mode), chain(op, mode))
+        h_static = device._Operators(SPEC).h_static
+        monkeypatch.setattr(device, "_mode_op", chain)
+        assert np.array_equal(device._Operators(SPEC).h_static, h_static)
+
     def test_parity_breaking_term_is_refused(self, monkeypatch):
         # a single-mode drive (b + b^dag) on q1, folded into its number term
         num = np.diag([0.0, 1.0, 2.0])
@@ -660,6 +707,60 @@ class TestChebyshevStep:
         assert np.abs(got - [[np.cos(30.0)], [-1j * np.sin(30.0)]]).max() < 1e-12
 
     @staticmethod
+    def _random_block(seed, d=40, m=6):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d)) / np.sqrt(d)
+        nc1 = rng.integers(0, 3, size=d).astype(float)
+        nc2 = rng.integers(0, 3, size=d).astype(float)
+        x = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
+        return rng, a + a.T + 40 * np.eye(d), nc1, nc2, x
+
+    @staticmethod
+    def _by_eigh(h0, nc1, nc2, alpha, beta, dt, x):
+        w, v = np.linalg.eigh(0.5 * h0 + np.diag(alpha * nc1 + beta * nc2))
+        return (v * np.exp(-1j * w * dt)) @ (v.conj().T @ x)
+
+    def test_one_step_through_full_and_remainder_widths(self):
+        # the term buffer is sized for the widest step and reused: short
+        # (remainder) and full steps in any order, each fed the previous
+        # output, follow the eigh reference
+        rng, h0, nc1, nc2, x = self._random_block(7)
+        widths = np.array([0.3, 1.2, 1.2, 0.3])
+        alpha, beta = rng.normal(size=(2, 4, 2))
+        step, _ = device._chebyshev_stepper(h0, nc1, nc2, alpha, beta, widths)
+        got = want = x
+        for al, be, dt in zip(alpha.flat, beta.flat, np.repeat(widths, 2)):
+            got = step(al, be, dt, got)
+            want = self._by_eigh(h0, nc1, nc2, al, be, dt, want)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+
+    def test_earlier_output_survives_a_later_call(self):
+        rng, h0, nc1, nc2, x = self._random_block(8)
+        alpha, beta = rng.normal(size=(2, 1, 2))
+        step, _ = device._chebyshev_stepper(h0, nc1, nc2, alpha, beta, np.array([1.0]))
+        y1 = step(alpha[0, 0], beta[0, 0], 1.0, x)
+        kept1 = y1.copy()
+        y2 = step(alpha[0, 1], beta[0, 1], 1.0, y1)
+        kept2 = y2.copy()
+        step(alpha[0, 0], beta[0, 0], 1.0, 2 * x)
+        assert np.array_equal(y1, kept1)
+        assert np.array_equal(y2, kept2)
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "eigh"])
+    def test_non_contiguous_columns(self, kind):
+        rng, h0, nc1, nc2, x = self._random_block(9, m=10)
+        alpha, beta = rng.normal(size=(2, 1, 2))
+        if kind == "chebyshev":
+            step, _ = device._chebyshev_stepper(h0, nc1, nc2, alpha, beta, np.array([1.0]))
+        else:
+            step = device._eigh_stepper(h0, nc1, nc2)
+        for view in (x[:, ::2], x[::-1], np.asfortranarray(x)[:, 3:8]):
+            assert not view.flags.c_contiguous
+            want = self._by_eigh(h0, nc1, nc2, alpha[0, 0], beta[0, 0], 1.0, view)
+            got = step(alpha[0, 0], beta[0, 0], 1.0, view)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(view)
+
+    @staticmethod
     def _propagate_forced(monkeypatch, chebyshev, cfg, nmax, columns):
         monkeypatch.setattr(device, "_chebyshev_is_cheaper", lambda *a: chebyshev)
         return propagate(SPEC, cfg, 4, nmax=nmax, columns=columns)
@@ -702,6 +803,18 @@ class TestChebyshevStep:
 
 
 class TestOptimizeTrace:
+    def test_no_point_is_evaluated_twice(self):
+        # L-BFGS-B's first call repeats the pre-check at x0, which is
+        # answered from the pre-check's row
+        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
+                          wd2=84.5 * MHZ, tau_final=10e-9)
+        res = optimize_pulse(SPEC, np.pi, cfg, budget=8,
+                             substeps_per_sample=2, nmax=3)
+        points = [row[3:7] for row in res.trace]
+        assert len(points) == 8
+        assert len(set(points)) == len(points)
+        assert points[0] == (cfg.amp1, cfg.amp2, cfg.wd1, cfg.wd2)
+
     def test_trace_records_wall_seconds(self):
         cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
                           wd2=84.5 * MHZ, tau_final=10e-9)
