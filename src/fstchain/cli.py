@@ -363,13 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def chain_args(sp, time_scale=True):
+    def chain_args(sp):
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--theta", required=True, help="angle, e.g. 0.5pi")
-        if time_scale:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("--tau", type=float, help="transfer time (s)")
-            g.add_argument("--j-max", type=float, help="max coupling (Hz)")
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--tau", type=float, help="transfer time (s)")
+        g.add_argument("--j-max", type=float, help="max coupling (Hz)")
 
     chain_args(sub.add_parser("synthesize"))
     chain_args(sub.add_parser("spectrum"))

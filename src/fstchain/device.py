@@ -52,6 +52,8 @@ _LEVELS = 3
 _MODES = 5  # q1, c1, q2, c2, q3
 _Q1, _C1, _Q2, _C2, _Q3 = range(_MODES)
 _DIM = _LEVELS**_MODES
+# DeviceSpec fields that JSON files hold unscaled (the rest are in GHz)
+_FLUX_FIELDS = ("dc1", "dc2", "phi_dc1", "phi_dc2")
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ class DeviceSpec:
         d = json.loads(s)
         if not isinstance(d, dict):
             raise TypeError("a device spec must be a JSON object")
-        flux = {k: float(d.get(k, v)) for k, v in
-                (("dc1", 0.5), ("dc2", 0.5), ("phi_dc1", 0.3), ("phi_dc2", 0.3))}
+        flux = {f.name: float(d.get(f.name, f.default))
+                for f in fields(cls) if f.name in _FLUX_FIELDS}
         # checked (finite, d in [0, 1]) before the coupler entries move from
         # the bias point to zero flux
         b = cls(**{f.name: float(d[f.name]) * GHZ for f in fields(cls) if f.name not in flux},
@@ -131,30 +133,11 @@ class DeviceSpec:
                        wc2=bare(b.wc2, b.ac2, b.dc2, b.phi_dc2))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w1": self.w1 / GHZ,
-                "w2": self.w2 / GHZ,
-                "w3": self.w3 / GHZ,
-                "wc1": flux_to_frequency(self, 1, self.phi_dc1) / GHZ,
-                "wc2": flux_to_frequency(self, 2, self.phi_dc2) / GHZ,
-                "a1": self.a1 / GHZ,
-                "a2": self.a2 / GHZ,
-                "a3": self.a3 / GHZ,
-                "ac1": self.ac1 / GHZ,
-                "ac2": self.ac2 / GHZ,
-                "g1c1": self.g1c1 / GHZ,
-                "g2c1": self.g2c1 / GHZ,
-                "g2c2": self.g2c2 / GHZ,
-                "g3c2": self.g3c2 / GHZ,
-                "g12": self.g12 / GHZ,
-                "g23": self.g23 / GHZ,
-                "dc1": self.dc1,
-                "dc2": self.dc2,
-                "phi_dc1": self.phi_dc1,
-                "phi_dc2": self.phi_dc2,
-            }
-        )
+        """The from_json form: GHz, coupler entries at the bias."""
+        d = {f.name: getattr(self, f.name) / GHZ for f in fields(self)}
+        d["wc1"] = flux_to_frequency(self, 1, self.phi_dc1) / GHZ
+        d["wc2"] = flux_to_frequency(self, 2, self.phi_dc2) / GHZ
+        return json.dumps(d | {k: getattr(self, k) for k in _FLUX_FIELDS})
 
 
 def table_s1_spec() -> DeviceSpec:
@@ -207,10 +190,6 @@ class PulseConfig:
                 "sample_rate": self.sample_rate,
             }
         )
-
-    @classmethod
-    def from_json(cls, s: str) -> "PulseConfig":
-        return cls(**json.loads(s))
 
 
 def _flux_factor(phi: float, d: float):
@@ -312,11 +291,11 @@ _OP_CACHE: dict = {}
 
 
 def _operators(spec: DeviceSpec) -> _Operators:
-    key = spec.to_json()
-    if key not in _OP_CACHE:
+    # a DeviceSpec is frozen and its fields are finite, so it is its own key
+    if spec not in _OP_CACHE:
         _OP_CACHE.clear()  # keep at most one device in memory
-        _OP_CACHE[key] = _Operators(spec)
-    return _OP_CACHE[key]
+        _OP_CACHE[spec] = _Operators(spec)
+    return _OP_CACHE[spec]
 
 
 def build_hamiltonian(spec: DeviceSpec, phi_c1: float, phi_c2: float) -> np.ndarray:
@@ -786,12 +765,15 @@ class OptimizeResult:
     converged: bool
 
 
+# infidelity at which optimize_pulse stops searching
+_TARGET_INFIDELITY = 1e-3
+
+
 def optimize_pulse(
     spec: DeviceSpec,
     theta: float,
     initial: PulseConfig,
     budget: int = 200,
-    target_infidelity: float = 1e-3,
     substeps_per_sample: int = 4,
     nmax: int | None = 5,
 ) -> OptimizeResult:
@@ -803,7 +785,8 @@ def optimize_pulse(
     by 4.1e-10);
     the returned metrics are re-evaluated with the optimized parameters.
     The search stops as soon as the best infidelity falls below
-    target_infidelity or the evaluation budget is exhausted.  The search
+    _TARGET_INFIDELITY or the evaluation budget is exhausted; the result
+    counts as converged below 10 times that.  The search
     is L-BFGS-B with finite-difference gradients.
     """
 
@@ -819,7 +802,7 @@ def optimize_pulse(
     cols = dressed_basis(spec, nmax)
 
     def objective(x):
-        if len(trace) >= budget or best[0] < target_infidelity:
+        if len(trace) >= budget or best[0] < _TARGET_INFIDELITY:
             raise _Done
         if len(trace) == 1 and np.array_equal(x, x0):
             return trace[0][1]  # L-BFGS-B's first call repeats the pre-check
@@ -842,7 +825,7 @@ def optimize_pulse(
         return infid
 
     try:
-        if objective(x0) > target_infidelity:
+        if objective(x0) > _TARGET_INFIDELITY:
             eps = np.maximum(1e-4 * np.abs(x0), 1e-8)
             minimize(
                 objective, x0, method="L-BFGS-B",
@@ -864,7 +847,7 @@ def optimize_pulse(
         metrics=final_metrics,
         trace=tuple(trace),
         n_evaluations=len(trace),
-        converged=bool(final_metrics.infidelity < target_infidelity * 10),
+        converged=bool(final_metrics.infidelity < _TARGET_INFIDELITY * 10),
     )
 
 

@@ -62,7 +62,7 @@ FSWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
 )
 
-_SINGLE_QUBIT_KINDS = frozenset({"RzPhase", "PiFlipX", "HalfX", "HalfY"})
+_SINGLE_QUBIT_KINDS = frozenset({"HalfX", "HalfY"})
 
 
 def _check_j_max(j_max, angle=None) -> None:
@@ -105,10 +105,6 @@ class GateOp:
             return iswap_matrix(self.angle)
         if self.kind == "FSwap":
             return FSWAP.copy()
-        if self.kind == "RzPhase":
-            return np.diag([1.0, np.exp(1j * self.angle)])
-        if self.kind == "PiFlipX":
-            return np.array([[0, 1], [1, 0]], dtype=complex)
         if self.kind == "HalfX":
             return _half_rotation(np.array([[0, 1], [1, 0]], dtype=complex))
         if self.kind == "HalfY":
@@ -273,13 +269,17 @@ class MappingReport:
     worst_element: tuple | None = None
 
 
-def verify_mapping(
-    params: ChainParams, theta: float, tol: float = 1e-8
-) -> MappingReport:
+# largest entry of the corrected chain propagator minus K_N that
+# verify_mapping accepts
+_MAPPING_TOL = 1e-8
+
+
+def verify_mapping(params: ChainParams, theta: float) -> MappingReport:
     """Check Eq.-(7)-style equivalence: the full chain propagator at t=tau,
     corrected by diagonal phases (e^{i phi} per excitation plus e^{i theta/2}
-    on the middle site of odd chains), equals K_N.  Chains whose 2^N x 2^N
-    matrices exceed DENSE_MATRIX_LIMIT are refused before any is built."""
+    on the middle site of odd chains), equals K_N to _MAPPING_TOL.  Chains
+    whose 2^N x 2^N matrices exceed DENSE_MATRIX_LIMIT are refused before
+    any is built."""
     n = params.n_sites
     check_dense_size(n)
     u1 = single_propagator(params, params.tau)
@@ -296,9 +296,10 @@ def verify_mapping(
     diff = np.abs(d)
     distance = float(diff.max())
     worst = tuple(int(v) for v in np.unravel_index(diff.argmax(), diff.shape))
+    ok = distance <= _MAPPING_TOL
     return MappingReport(
-        distance=distance, transfer_phase=phi, ok=distance <= tol,
-        worst_element=None if distance <= tol else worst,
+        distance=distance, transfer_phase=phi, ok=ok,
+        worst_element=None if ok else worst,
     )
 
 
@@ -398,37 +399,50 @@ def compile_decomposition(
     return circuit
 
 
-def _z_layer_residual(circuit: Circuit, theta: float) -> float:
-    """How far the circuit C is from e^{i phi} D K_N on N+3 states.
+def _low_rows(n: int) -> np.ndarray:
+    """Basis indices of the vacuum and of one excitation on site 1..N."""
+    return np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))
 
-    C and K_N both conserve excitation number, and K_N is unitary on the
-    vacuum plus the N single-excitation states, so C's action there fixes
-    the diagonal of e^{i phi} D on those states: the global phase (the
-    vacuum) and one phase per qubit.  D is extended to every basis state
-    as the product of its per-qubit phases.  Returns the largest entry of
-    C x - e^{i phi} D K_N x over those N+1 states and two seeded random
-    states; zero (up to rounding) exactly when C = e^{i phi} D K_N.  The
-    block of states is refused above STATE_VECTOR_LIMIT entries.
+
+def _z_layer_error(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest entry of a - e^{i phi} D b, for 2^N x m blocks a and b
+    and D a single-qubit Z layer; b is overwritten.
+
+    e^{i phi} and the N per-qubit phases of D are the phases of the overlaps
+    sum_j a_ij conj(b_ij) of the _low_rows: for a = e^{i phi} D b each is
+    the phase times the squared norm of b's row, so any b whose low rows are
+    not zero serves (a unitary b, or a block holding the N+1 low states).
+    D is extended to every basis state as the product of its per-qubit
+    phases.  The phases are unimodular, so a scaled a (a = 2b) is refused.
+    """
+    low = _low_rows(len(a).bit_length() - 1)
+    phases = np.exp(1j * np.angle(np.einsum("ij,ij->i", a[low], b[low].conj())))
+    d = phases[:1]
+    for q in phases[1:] / phases[0]:
+        d = np.outer(d, [1.0, q]).ravel()
+    b *= d[:, None]
+    b -= a
+    return float(np.abs(b).max())
+
+
+def _z_layer_residual(circuit: Circuit, theta: float) -> float:
+    """How far the circuit C is from e^{i phi} D K_N on N+3 states: the
+    vacuum, the N single-excitation states and two seeded random states
+    (see _z_layer_error).  C and K_N both conserve excitation number, so
+    the first N+1 states fix the phases.  The block of states is refused
+    above STATE_VECTOR_LIMIT entries.
     """
     n = circuit.n_sites
     if 2**n * (n + 3) > STATE_VECTOR_LIMIT:
         raise ValueError(f"verifying an N={n} circuit needs 2^{n} x {n + 3} "
                          f"entries (limit {STATE_VECTOR_LIMIT})")
-    low = np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))  # |0>, site 1..N
     x = np.zeros((2**n, n + 3), dtype=complex)
-    x[low, np.arange(n + 1)] = 1.0
+    x[_low_rows(n), np.arange(n + 1)] = 1.0
     rng = np.random.default_rng(0)
     x[:, n + 1:] = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
     x[:, n + 1:] /= np.linalg.norm(x[:, n + 1:], axis=0)
     cx = circuit.apply(x)
-    kx = _apply_pairs(x, theta)  # in place: x is not needed again
-    d_low = np.einsum("ij,ij->i", cx[low, : n + 1], kx[low, : n + 1].conj())
-    d = d_low[:1]
-    for q in d_low[1:] / d_low[0]:  # site 1 is the most significant bit
-        d = np.outer(d, [1.0, q]).ravel()
-    kx *= d[:, None]
-    kx -= cx
-    return float(np.abs(kx).max())
+    return _z_layer_error(cx, _apply_pairs(x, theta))  # x is not needed again
 
 
 # (FSwap-only, iSWAP-only, mixed) layers of the N < 5 networks; from N = 5
@@ -449,31 +463,18 @@ def decomposition_duration(n_sites: int, theta: float, j_max: float) -> float:
     return fswap_only * t_fswap + iswap_only * t_iswap + mixed * max(t_fswap, t_iswap)
 
 
-def speed_gain(n_sites: int, theta: float, j_max: float = 1.0) -> float:
-    """Decomposition time divided by the direct FST gate time."""
-    t_fst = solve_gate_time(ChainSpec(n_sites=n_sites, theta=theta, j_max=j_max))
-    return decomposition_duration(n_sites, theta, j_max) / t_fst
+def speed_gain(n_sites: int, theta: float) -> float:
+    """Decomposition time divided by the direct FST gate time, at the same
+    coupling budget (the ratio does not depend on its value)."""
+    t_fst = solve_gate_time(ChainSpec(n_sites=n_sites, theta=theta, j_max=1.0))
+    return decomposition_duration(n_sites, theta, 1.0) / t_fst
 
 
 def z_layer_equivalent(
     a: np.ndarray, b: np.ndarray, tol: float = 1e-8
 ) -> tuple:
-    """Whether a = (single-qubit Z layer) . b up to global phase.
-
-    Computes C = a b^dag, requires it diagonal with unimodular entries whose
-    phases factorize as a constant plus one angle per qubit (checked against
-    the phases of the single-excitation basis states).
-    """
-    c = a @ b.conj().T
-    off = float(np.abs(c - np.diag(np.diag(c))).max())
-    d = np.diag(c)
-    if off > tol or np.abs(np.abs(d) - 1).max() > tol:
-        return False, max(off, float(np.abs(np.abs(d) - 1).max()))
-    n = int(np.log2(len(d)))
-    base = d[0]
-    per_qubit = np.array([d[1 << (n - 1 - k)] / base for k in range(n)])
-    idx = np.arange(len(d))
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    pred = base * np.prod(np.where(bits == 1, per_qubit[None, :], 1.0), axis=1)
-    err = float(np.abs(pred - d).max())
-    return err <= 10 * tol, err
+    """Whether a = e^{i phi} D b for a single-qubit Z layer D, for 2^N x 2^N
+    matrices a and unitary b: (ok, err), with err the largest entry of
+    a - e^{i phi} D b (see _z_layer_error) and ok = err <= tol."""
+    err = _z_layer_error(np.asarray(a), np.array(b, dtype=complex))
+    return err <= tol, err

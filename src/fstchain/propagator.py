@@ -16,7 +16,6 @@ Basis conventions used throughout the package:
 
 from __future__ import annotations
 
-import io
 import json
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -27,7 +26,6 @@ import numpy as np
 from .synthesis import DENSE_MATRIX_LIMIT, ChainParams, single_excitation_hamiltonian
 
 __all__ = [
-    "DENSE_MATRIX_LIMIT",
     "check_dense_size",
     "SECTOR_TENSOR_LIMIT",
     "STATE_VECTOR_LIMIT",
@@ -41,11 +39,9 @@ __all__ = [
     "evolve_sectors",
     "site_populations",
     "dense_oracle",
-    "dense_hamiltonian",
     "evolve_state",
     "basis_state",
     "write_state_json",
-    "state_to_json",
     "state_from_json",
 ]
 
@@ -248,20 +244,13 @@ def _number_blocks(params: ChainParams):
         yield rows, h
 
 
-def dense_hamiltonian(params: ChainParams) -> np.ndarray:
-    """Full 2^N matrix of the chain Hamiltonian, scattered from its
-    excitation-number blocks."""
-    check_dense_size(params.n_sites)
-    h = np.zeros((2**params.n_sites,) * 2, dtype=complex)
-    for rows, block in _number_blocks(params):
-        h[rows[:, None], rows] = block
-    return h
-
-
 def dense_oracle(params: ChainParams, t: float) -> np.ndarray:
     """exp(-i H t) on the full 2^N space, by diagonalizing each
-    excitation-number block of H."""
+    excitation-number block of H.  t must be finite; a negative t evolves
+    backwards."""
     check_dense_size(params.n_sites)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     u = np.zeros((2**params.n_sites,) * 2, dtype=complex)
     for rows, block in _number_blocks(params):
         evals, evecs = np.linalg.eigh(block)
@@ -294,32 +283,21 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
 def evolve_state(
     psi: np.ndarray, params: ChainParams, t: float, method: str = "sector"
 ) -> np.ndarray:
-    """Evolve a 2^N state vector for time t.
-
-    method="sector" evolves each excitation-number sector the state
-    occupies with sector_apply, at any N whose sectors fit
-    SECTOR_TENSOR_LIMIT.  method="lift" (the full determinant lift) and
-    method="dense" (the blockwise exponential of H) are oracles that build
-    a 2^N x 2^N matrix, so N <= 12 (DENSE_MATRIX_LIMIT).
+    """Evolve a 2^N state vector for time t: each excitation-number sector
+    the state occupies is evolved with sector_apply, at any N whose sectors
+    fit SECTOR_TENSOR_LIMIT.  method must be "sector".  The oracles
+    lift_to_full and dense_oracle build the 2^N x 2^N propagator instead.
     """
     n = params.n_sites
     if psi.shape != (2**n,):
         raise ValueError(f"state dimension {psi.shape} does not match N={n}")
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if method == "sector":
-        sectors = evolve_sectors(single_propagator(params, t), split_sectors(psi))
-        out = np.zeros(psi.shape, dtype=complex)
-        for k, amp in sectors.items():
-            out[sector_indices(n, k)] = amp
-        return out
-    if method == "lift":
-        full = lift_to_full(single_propagator(params, t))
-    elif method == "dense":
-        full = dense_oracle(params, t)
-    else:
+    if method != "sector":
         raise ValueError(f"unknown method {method!r}")
-    return full @ psi
+    sectors = evolve_sectors(single_propagator(params, t), split_sectors(psi))
+    out = np.zeros(psi.shape, dtype=complex)
+    for k, amp in sectors.items():
+        out[sector_indices(n, k)] = amp
+    return out
 
 
 _JSON_ROWS = 2**12  # amplitudes formatted at a time by write_state_json
@@ -334,12 +312,6 @@ def write_state_json(psi: np.ndarray, fh) -> None:
         pairs = np.column_stack((chunk.real, chunk.imag)).astype(float, copy=False)
         fh.write((", " if start else "") + json.dumps(pairs.tolist())[1:-1])
     fh.write("]")
-
-
-def state_to_json(psi: np.ndarray) -> str:
-    buf = io.StringIO()
-    write_state_json(psi, buf)
-    return buf.getvalue()
 
 
 def state_from_json(s: str) -> np.ndarray:

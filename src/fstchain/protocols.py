@@ -91,7 +91,7 @@ def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
     )
 
 
-def correlator_measure(psi: np.ndarray, paulis, j_max: float = 1.0) -> float:
+def correlator_measure(psi: np.ndarray, paulis) -> float:
     """<P_1 (x) ... (x) P_N> via the parity protocol, P_n in {X, Y, Z}.
 
     Rotates each site into the Z basis, measures the Z-string parity with
@@ -107,7 +107,7 @@ def correlator_measure(psi: np.ndarray, paulis, j_max: float = 1.0) -> float:
         except KeyError:
             raise ValueError(f"unknown Pauli {p!r}") from None
         rotated = gates.apply_local(rotated, v, site)
-    result = parity_measure(rotated, j_max=j_max)
+    result = parity_measure(rotated)
     p_odd = 1.0 - result.left_ancilla_one_probability
     return 1.0 - 2.0 * p_odd
 

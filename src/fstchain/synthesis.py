@@ -74,16 +74,6 @@ class ChainSpec:
             d["j_max"] = self.j_max
         return json.dumps(d)
 
-    @classmethod
-    def from_json(cls, s: str) -> "ChainSpec":
-        d = json.loads(s)
-        return cls(
-            n_sites=int(d["n_sites"]),
-            theta=float(d["theta"]),
-            tau=float(d["tau"]) if "tau" in d else None,
-            j_max=float(d["j_max"]) if "j_max" in d else None,
-        )
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -106,25 +96,6 @@ class ChainParams:
     @property
     def n_sites(self) -> int:
         return len(self.detunings)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_sites": self.n_sites,
-                "tau": self.tau,
-                "couplings": list(self.couplings),
-                "detunings": list(self.detunings),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "ChainParams":
-        d = json.loads(s)
-        return cls(
-            couplings=np.array(d["couplings"], dtype=float),
-            detunings=np.array(d["detunings"], dtype=float),
-            tau=float(d["tau"]),
-        )
 
 
 def _coupling_products(n: int, theta: float) -> np.ndarray:
@@ -197,10 +168,6 @@ class DetuningRangeReport:
     formula: float           # N (pi - theta) / (3 tau)
     matches_formula: bool
 
-    @property
-    def value(self) -> float:
-        return self.direct
-
 
 def detuning_range(params: ChainParams, spec: ChainSpec) -> DetuningRangeReport:
     """Spread of the detunings, plus the closed-form reference value.
@@ -231,15 +198,18 @@ class SpectrumReport:
         return not self.failures
 
 
-def spectrum_check(
-    params: ChainParams, theta: float, tol: float = 1e-8
-) -> SpectrumReport:
+# largest distance of a gap times tau from theta or 2 pi - theta (mod 2 pi)
+# that spectrum_check accepts
+_GAP_TOL = 1e-8
+
+
+def spectrum_check(params: ChainParams, theta: float) -> SpectrumReport:
     """Diagnose the synthesized spectrum.
 
     Checks that eigenvalues are non-degenerate, that consecutive gaps times
     tau alternate between theta and 2*pi - theta (mod 2*pi, either phase of
-    the alternation), and that eigenvectors alternate mirror symmetric /
-    antisymmetric when sorted by eigenvalue.
+    the alternation, to _GAP_TOL), and that eigenvectors alternate mirror
+    symmetric / antisymmetric when sorted by eigenvalue.
     """
     h = single_excitation_hamiltonian(params)
     evals, evecs = np.linalg.eigh(h)
@@ -259,7 +229,7 @@ def spectrum_check(
         for k, val in enumerate(seq):
             want = targets[(first + k) % 2]
             d = min(abs(val - want), abs(val - want - 2 * np.pi), abs(val - want + 2 * np.pi))
-            if d > tol:
+            if d > _GAP_TOL:
                 return False
         return True
 

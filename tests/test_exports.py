@@ -1,0 +1,34 @@
+"""Every exported name exists: a name deleted from a module must also leave
+its __all__ and the package's own imports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fstchain
+
+MODULES = ["synthesis", "propagator", "gates", "protocols", "device"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist_and_star_import_works(name):
+    module = importlib.import_module(f"fstchain.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+    namespace: dict = {}
+    exec(f"from fstchain.{name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(fstchain.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"fstchain.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+            assert getattr(fstchain, alias.name) is getattr(module, alias.name)

@@ -329,6 +329,17 @@ class TestDecomposition:
         compile_decomposition(n, 0.7, 1.0)
         assert sizes == ([n] if checked else [])
 
+    def test_forced_verification_refused_before_allocation(self):
+        # N = 20 would need a 2^20 x 23 block of states (limit 2^24 entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                compile_decomposition(20, 0.5, 1.0, verify=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_closed_form_duration_matches_schedule(self):
         # |theta| > pi makes the iSWAP the longer gate of a mixed layer
         j_max = 1.3
@@ -406,6 +417,66 @@ def test_z_layer_equivalent_rejects_non_factorizable():
     d[3] = np.exp(0.5j)  # |011>: breaks single-qubit factorization
     ok, _ = z_layer_equivalent(np.diag(d), np.eye(8, dtype=complex))
     assert not ok
+
+
+def _z_layer(phi, angles, sign=1):
+    """Diagonal of e^{i phi} prod_k diag(1, e^{i angles_k}) (site 1 = MSB);
+    with sign=-1 the states holding two or more excitations get the
+    conjugate phases."""
+    n = len(angles)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    total = bits @ np.asarray(angles)
+    return np.exp(1j * (phi + np.where(bits.sum(axis=1) > 1, sign, 1) * total))
+
+
+def _random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+_LAYERS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.floats(-np.pi, np.pi),
+    st.lists(st.floats(0.2, 1.2), min_size=n, max_size=n),
+    st.integers(0, 2**32 - 1),
+))
+
+
+class TestZLayerEquivalent:
+    """z_layer_equivalent on phases away from +-1, where a product taken
+    as a quotient, or a per-qubit phase read against the wrong reference,
+    changes the layer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(layer=_LAYERS)
+    def test_any_layer_times_any_unitary_is_accepted(self, layer):
+        phi, angles, seed = layer
+        b = _random_unitary(len(angles), seed)
+        ok, err = z_layer_equivalent(_z_layer(phi, angles)[:, None] * b, b)
+        assert ok and err <= 1e-12, err
+
+    @settings(max_examples=40, deadline=None)
+    @given(layer=_LAYERS.filter(lambda layer: len(layer[1]) >= 2))
+    def test_conjugate_layer_is_rejected(self, layer):
+        # same vacuum and single-excitation phases, conjugate products
+        phi, angles, seed = layer
+        b = _random_unitary(len(angles), seed)
+        ok, _ = z_layer_equivalent(_z_layer(phi, angles, sign=-1)[:, None] * b, b)
+        assert not ok
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_scaled_matrix_is_rejected(self, n):
+        b = _random_unitary(n, n)
+        ok, err = z_layer_equivalent(2 * b, b)
+        assert not ok and err > 0.1
+
+    def test_inputs_are_left_unchanged(self):
+        b = _random_unitary(3, 0)
+        a = _z_layer(0.3, [0.4, 0.5, 0.6])[:, None] * b
+        a0, b0 = a.copy(), b.copy()
+        z_layer_equivalent(a, b)
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
 
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -487,7 +558,7 @@ class TestMatrixFreeAgainstDense:
     @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
     def test_circuit_unitary_matches_kron_embedding(self, n, seed):
         rng = np.random.default_rng(seed)
-        single = ("RzPhase", "PiFlipX", "HalfX", "HalfY")
+        single = ("HalfX", "HalfY")
         layers = []
         for _ in range(6):
             site, layer = 1, []
@@ -499,7 +570,7 @@ class TestMatrixFreeAgainstDense:
                     site += 2
                 else:
                     if pick == 1:
-                        kind = single[int(rng.integers(4))]
+                        kind = single[int(rng.integers(2))]
                         layer.append(GateOp(kind, (site,), float(rng.normal())))
                     site += 1
             layers.append(tuple(layer))

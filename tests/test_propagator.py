@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -10,7 +11,6 @@ from fstchain import propagator
 from fstchain.gates import Circuit, build_generator, effective_gate, verify_mapping
 from fstchain.propagator import (
     basis_state,
-    dense_hamiltonian,
     dense_oracle,
     evolve_state,
     extract_transfer_phase,
@@ -18,7 +18,7 @@ from fstchain.propagator import (
     sector_indices,
     single_propagator,
     state_from_json,
-    state_to_json,
+    write_state_json,
 )
 from fstchain.synthesis import ChainParams, ChainSpec, synthesize
 
@@ -195,17 +195,16 @@ class TestDenseOracle:
     def test_single_site_detuning(self):
         params = synthesize(ChainSpec(n_sites=2, theta=0.9, tau=1.0))
         # N=1 via a manual params object is disallowed (n_sites >= 2), so
-        # check the N=2 diagonal elements instead
-        h = dense_hamiltonian(params)
-        assert h[0, 0] == 0.0
+        # check that the N=2 vacuum has zero energy instead
+        assert dense_oracle(params, 0.7)[0, 0] == 1.0
 
     def test_commutes_with_excitation_number(self):
         for n in (2, 4, 6):
             params = _params(n, 0.8)
-            h = dense_hamiltonian(params)
+            u = dense_oracle(params, 0.9)
             w = np.bitwise_count(np.arange(2**n)).astype(float)
             num = np.diag(w)
-            np.testing.assert_allclose(h @ num - num @ h, 0, atol=1e-9)
+            np.testing.assert_allclose(u @ num - num @ u, 0, atol=1e-9)
 
     def test_unitarity(self):
         params = _params(5, 2.2)
@@ -218,14 +217,11 @@ class TestDenseOracle:
         object.__setattr__(params, "couplings", np.ones(12))
         object.__setattr__(params, "detunings", np.zeros(13))
         with pytest.raises(ValueError):
-            dense_hamiltonian(params)
+            dense_oracle(params, 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(params=_random_chains(), t=st.floats(0.0, 3.0))
     def test_matches_kron_reference(self, params, t):
-        np.testing.assert_allclose(
-            dense_hamiltonian(params), _kron_hamiltonian(params), rtol=0, atol=1e-12
-        )
         np.testing.assert_allclose(
             dense_oracle(params, t), _kron_oracle(params, t), rtol=0, atol=1e-12
         )
@@ -254,17 +250,15 @@ class TestDenseOracle:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda p: dense_hamiltonian(p),
             lambda p: dense_oracle(p, 1.0),
             lambda p: verify_mapping(p, np.pi),
             lambda p: lift_to_full(np.eye(p.n_sites, dtype=complex)),
             lambda p: build_generator(p.n_sites),
             lambda p: effective_gate(p.n_sites, np.pi),
             lambda p: Circuit(n_sites=p.n_sites, layers=()).unitary(),
-            lambda p: evolve_state(basis_state(p.n_sites, [1]), p, 1.0, method="dense"),
         ],
-        ids=["dense_hamiltonian", "dense_oracle", "verify_mapping", "lift_to_full",
-             "build_generator", "effective_gate", "circuit_unitary", "evolve_state_dense"],
+        ids=["dense_oracle", "verify_mapping", "lift_to_full",
+             "build_generator", "effective_gate", "circuit_unitary"],
     )
     def test_thirteen_sites_refused_before_allocation(self, call):
         params = _params(13, np.pi)
@@ -319,18 +313,34 @@ class TestEvolveState:
         rng = np.random.default_rng(1)
         psi = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi /= np.linalg.norm(psi)
-        a = evolve_state(psi, params, 0.8, method="lift")
-        b = evolve_state(psi, params, 0.8, method="dense")
+        a = lift_to_full(single_propagator(params, 0.8)) @ psi
+        b = dense_oracle(params, 0.8) @ psi
         c = evolve_state(psi, params, 0.8, method="sector")
         np.testing.assert_allclose(a, b, atol=1e-8)
         np.testing.assert_allclose(a, c, atol=1e-8)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("method", ["sector", "lift", "dense"])
-    @pytest.mark.parametrize("t", ["inf", "nan", "-1"])
-    def test_bad_time_refused(self, method, t):
+    @pytest.mark.parametrize(
+        "t,route",
+        [(t, route) for route in ("dense", "lift", "sector") for t in ("-1", "inf", "nan")
+         if (t, route) != ("-1", "dense")],
+    )
+    def test_bad_time_refused(self, t, route):
+        # evolve_state, and the two oracles a state can also be evolved by;
+        # dense_oracle takes a negative t (backward evolution)
+        evolve = {
+            "sector": lambda psi, p, t: evolve_state(psi, p, t, method="sector"),
+            "lift": lambda psi, p, t: lift_to_full(single_propagator(p, t)) @ psi,
+            "dense": lambda psi, p, t: dense_oracle(p, t) @ psi,
+        }[route]
         with pytest.raises(ValueError, match="finite"):
-            evolve_state(basis_state(3, [1]), _params(3, np.pi), float(t), method=method)
+            evolve(basis_state(3, [1]), _params(3, np.pi), float(t))
+
+    @pytest.mark.parametrize("method", ["lift", "dense", None])
+    def test_only_the_sector_method(self, method):
+        # the oracles are called directly: lift_to_full, dense_oracle
+        with pytest.raises(ValueError, match="unknown method"):
+            evolve_state(basis_state(3, [1]), _params(3, np.pi), 0.5, method=method)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -343,10 +353,16 @@ def test_sector_indices_order_matches_subsets():
     np.testing.assert_array_equal(idx, [0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011])
 
 
+def _state_text(psi):
+    buf = io.StringIO()
+    write_state_json(psi, buf)
+    return buf.getvalue()
+
+
 def test_state_json_round_trip():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    np.testing.assert_allclose(state_from_json(state_to_json(psi)), psi, rtol=1e-15)
+    np.testing.assert_allclose(state_from_json(_state_text(psi)), psi, rtol=1e-15)
 
 
 def test_state_json_matches_one_dumps_of_all_pairs():
@@ -355,7 +371,7 @@ def test_state_json_matches_one_dumps_of_all_pairs():
     rng = np.random.default_rng(4)
     psi = rng.normal(size=2**13) + 1j * rng.normal(size=2**13)
     psi[:4] = [0.0, complex(-0.0, -0.0), 1.0, -1e-300j]
-    assert state_to_json(psi) == json.dumps([[float(a.real), float(a.imag)] for a in psi])
+    assert _state_text(psi) == json.dumps([[float(a.real), float(a.imag)] for a in psi])
     real = rng.normal(size=5)
-    assert state_to_json(real) == json.dumps([[float(a), 0.0] for a in real])
-    assert state_to_json(np.zeros(0)) == "[]"
+    assert _state_text(real) == json.dumps([[float(a), 0.0] for a in real])
+    assert _state_text(np.zeros(0)) == "[]"

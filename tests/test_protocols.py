@@ -180,6 +180,15 @@ class TestRepeatedParity:
         with pytest.raises(ValueError):
             repeated_parity(basis_state(2, []), 1)
 
+    def test_mixed_parity_register_is_projected_and_renormalized(self):
+        # 0.8|000> + 0.6|100>: the first round reads "even" with P(1) = 0.64
+        # and leaves |000>, which every later round reads with certainty
+        psi = 0.8 * basis_state(3, []) + 0.6 * basis_state(3, [1])
+        results, register = repeated_parity(psi, 3)
+        np.testing.assert_allclose([r.left_ancilla_one_probability for r in results],
+                                   [0.64, 1.0, 1.0], atol=1e-12)
+        assert np.linalg.norm(register) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestScenario:
     def test_json_round_trip(self):
@@ -222,6 +231,25 @@ class TestScenario:
         )
         res = run_scenario(s, n_steps=40)
         assert res.populations[-1, 0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_t_final_sets_the_last_sample(self):
+        s = Scenario(n_sites=5, theta=np.pi / 2, excitations=(1,), t_final=3.0)
+        res = run_scenario(s, n_steps=12)
+        assert res.tau == 1.0
+        assert res.times[-1] == 3.0
+        assert len(res.times) == 13
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, np.inf])
+    def test_bad_t_final_refused(self, t_final):
+        with pytest.raises(ValueError, match="t_final"):
+            Scenario(n_sites=5, theta=np.pi / 2, excitations=(1,), t_final=t_final)
+
+    def test_steps_guard_counts_every_population(self):
+        # (steps + 1) x N just above 2^24 entries is refused before any
+        # step is taken
+        s = Scenario(n_sites=9, theta=1.0, excitations=(1,))
+        with pytest.raises(ValueError, match="steps"):
+            run_scenario(s, n_steps=2**24 // 9)
 
     def test_vacuum_stays_empty(self):
         s = Scenario(n_sites=15, theta=np.pi / 2, excitations=())
