@@ -56,10 +56,6 @@ def parse_angle(text: str) -> float:
         raise CliError(f"cannot parse angle {text!r}", EXIT_BAD_INPUT) from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_result(out_dir: Path, command: str, inputs: dict, payload: dict, t0: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = {
@@ -73,10 +69,16 @@ def _write_result(out_dir: Path, command: str, inputs: dict, payload: dict, t0: 
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    """Write the header and the rows, each row through one % string built
+    from the first row's column types: %.17g for floats, %s otherwise.
+    Every row has the first row's column types."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
+    fmt = None
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        if fmt is None:
+            fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -290,7 +292,7 @@ def cmd_scenario(args, out: Path):
     n = scenario.n_sites
     _write_csv(
         out / "populations.csv", ["t"] + [f"p_{i}" for i in range(1, n + 1)],
-        ([t, *row] for t, row in zip(result.times, result.populations)),
+        np.column_stack((result.times, result.populations)).tolist(),
     )
     return json.loads(scenario.to_json()), {
         "tau": result.tau,

@@ -18,6 +18,7 @@ from fstchain.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    _write_csv,
     main,
     parse_angle,
 )
@@ -31,6 +32,25 @@ def _result_without_wall_time(out_dir):
     d = _result(out_dir)
     d.pop("wall_time_s")
     return d
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        # reference: each value on its own, %.17g for floats (numpy floats
+        # included), str otherwise
+        rows = [
+            (3, "even", 0.1, np.float64(2 / 3), -0.0, float("nan"), np.inf, 5e-324),
+            (np.int64(4), "odd", 1e300, np.float64(-1.5), 2.0, -np.inf, 1e-17, 0.1 + 0.2),
+        ]
+        path = tmp_path / "x.csv"
+        _write_csv(path, list("abcdefgh"), rows)
+        want = ["a,b,c,d,e,f,g,h"] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows
+        ]
+        assert path.read_text() == "\n".join(want) + "\n"
+        _write_csv(path, ["t"], [])
+        assert path.read_text() == "t\n"
 
 
 class TestParseAngle:

@@ -1,7 +1,7 @@
 """Property tests: the tensor-contraction sector engine against the
-determinant lift, the sector state of a chain against its 2^N vector,
-run_scenario against a dense state-vector reference, and the parity
-protocol's linearity."""
+determinant lift, the sector state of a chain against its 2^N vector, its
+one-body density matrix against site populations, run_scenario against a
+dense state-vector reference, and the parity protocol's linearity."""
 
 from math import comb
 
@@ -16,7 +16,9 @@ from fstchain.propagator import (
     SECTOR_TENSOR_LIMIT,
     basis_state,
     dense_oracle,
+    evolve_sectors,
     evolve_state,
+    one_body_density,
     sector_apply,
     sector_indices,
     sector_propagator,
@@ -118,6 +120,21 @@ def test_xflip_matches_pauli_x(case, data):
     flipped = _apply_xflip(n, split_sectors(psi), site)
     want = psi[np.arange(2**n) ^ (1 << (n - site))]
     assert np.abs(_scatter(n, flipped) - want).max() < 1e-12
+
+
+@SETTINGS
+@given(sector_states(max_sites=9), st.integers(0, 2**32 - 1))
+def test_one_body_density_evolves_as_u_rho_u_dagger(case, seed):
+    n, psi = case
+    sectors = split_sectors(psi)
+    rho = one_body_density(n, sectors)
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    assert np.abs(np.diag(rho) - site_populations(n, sectors)).max() < 1e-12
+    # a random u mixes every off-diagonal element, Jordan-Wigner signs
+    # included, into the populations
+    u = _unitary(n, np.random.default_rng(seed))
+    want = site_populations(n, evolve_sectors(u, sectors))
+    assert np.abs(np.diag(u @ rho @ u.conj().T) - want).max() < 1e-12
 
 
 @SETTINGS

@@ -3,15 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fstchain import gates
+from fstchain import gates, propagator
 from fstchain.propagator import (
     basis_state,
+    check_density_size,
+    evolve_sectors,
     extract_transfer_phase,
     lift_to_full,
+    sector_indices,
     single_propagator,
+    site_populations,
 )
 from fstchain.protocols import (
     Scenario,
+    _apply_xflip,
     correlator_measure,
     parity_measure,
     repeated_parity,
@@ -255,3 +260,123 @@ class TestScenario:
         s = Scenario(n_sites=15, theta=np.pi / 2, excitations=())
         res = run_scenario(s, n_steps=20)
         assert np.abs(res.populations).max() < 1e-12
+
+
+def _per_sample_populations(scenario, n_steps):
+    """Reference on run_scenario's grid: at every sample, single_propagator
+    from the last event time and site_populations of the evolved sectors."""
+    n = scenario.n_sites
+    params = synthesize(ChainSpec(n_sites=n, theta=scenario.theta, tau=1.0))
+    t_final = scenario.t_final if scenario.t_final is not None else 2 * params.tau
+    slack = 1e-12 * max(t_final, 1.0)
+    k = len(scenario.excitations)
+    start = sum(1 << (n - s) for s in scenario.excitations)
+    sectors = {k: (sector_indices(n, k) == start).astype(complex)}
+    events = list(scenario.events)
+    t_anchor = 0.0
+    rows = []
+    for t in np.linspace(0.0, t_final, n_steps + 1):
+        while events and events[0]["t"] <= t + slack:
+            ev = events.pop(0)
+            u = single_propagator(params, ev["t"] - t_anchor)
+            sectors = _apply_xflip(n, evolve_sectors(u, sectors), ev["site"])
+            t_anchor = ev["t"]
+        u = single_propagator(params, max(t - t_anchor, 0.0))
+        rows.append(site_populations(n, evolve_sectors(u, sectors)))
+    return np.array(rows)
+
+
+def _flips(*pairs):
+    return tuple({"t": float(t), "kind": "xflip", "site": s} for t, s in pairs)
+
+
+def _tau(n, theta):
+    return synthesize(ChainSpec(n_sites=n, theta=theta, tau=1.0)).tau
+
+
+def _scenario_cases():
+    """(id, scenario, steps) on N = 13..15, k up to N - 2."""
+    t13, t14, t15 = _tau(13, 1.1), _tau(14, 2.0), _tau(15, 0.4)
+    grid15 = 2 * t15 / 40
+    return [
+        # an event at 0, two coincident events, one on a grid time
+        ("n13_coincident", Scenario(13, 1.1, (2, 11), _flips(
+            (0, 1), (0.55 * t13, 4), (0.55 * t13, 4))), 24),
+        # events at 0 and exactly at t_final
+        ("n14_k12_ends", Scenario(14, 2.0, tuple(s for s in range(1, 15) if s not in (3, 9)),
+                                  _flips((0, 3), (2 * t14, 14))), 20),
+        # the slack is 1e-12 t_final: events inside it after a grid time,
+        # and one at its end after t_final
+        ("n15_slack", Scenario(15, 0.4, (1, 8), _flips(
+            (7 * grid15 + 1.5e-12, 8), (2 * t15 + 1e-12 * 2 * t15, 2))), 40),
+        ("n15_k13", Scenario(15, np.pi, tuple(range(2, 15)), _flips(
+            (0.3 * t15, 7), (0.3 * t15, 15), (1.7 * t15, 1)), t_final=1.9 * t15), 30),
+    ]
+
+
+class TestScenarioAgainstPerSample:
+    @pytest.mark.parametrize("case", _scenario_cases(), ids=lambda c: c[0])
+    def test_matches_per_sample_reference(self, case):
+        _, scenario, steps = case
+        got = run_scenario(scenario, n_steps=steps).populations
+        assert np.abs(got - _per_sample_populations(scenario, steps)).max() < 1e-12
+
+    def test_one_eigh_per_scenario_and_one_contraction_per_event(self, monkeypatch):
+        eighs, applied = [], []
+        eigh, sector_apply = np.linalg.eigh, propagator.sector_apply
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def counting_apply(u, k, amp):
+            applied.append(k)
+            return sector_apply(u, k, amp)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(propagator, "sector_apply", counting_apply)
+        events = _flips((0.2, 3), (0.9, 6), (0.9, 6), (1.4, 1))
+        run_scenario(Scenario(11, 1.0, (2, 5), events), n_steps=60)
+        assert eighs == [(11, 11)]
+        # an x-flip sends sector k to k - 1 and k + 1, so the events see
+        # sectors {2}, {1, 3}, {0, 2, 4} and {1, 3, 5}
+        assert applied == [2, 1, 3, 0, 2, 4, 1, 3, 5]
+        eighs.clear()
+        applied.clear()
+        run_scenario(Scenario(11, 1.0, (2, 5)), n_steps=60)
+        assert eighs == [(11, 11)]
+        assert applied == []
+
+    def test_samples_are_taken_in_chunks(self):
+        # all 201 samples at once would hold (201, 63, 63) complex arrays,
+        # 12.8 MB each
+        s = Scenario(63, 0.7 * np.pi, (5,), _flips((0.3, 9)))
+        run_scenario(s, n_steps=2)
+        tracemalloc.start()
+        try:
+            res = run_scenario(s, n_steps=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert np.abs(res.populations - _per_sample_populations(s, 200)).max() < 1e-12
+
+    def test_oversized_density_table_refused_before_allocation(self):
+        s = Scenario(40, 1.0, tuple(range(1, 21)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="one-body density"):
+                run_scenario(s, n_steps=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_density_table_limit(self):
+        # C(30, 5) * 30 = 4.3e6 entries fit, C(30, 6) * 30 = 1.8e7 do not,
+        # whether C(30, 6) counts sector k or its (k-1)-sector
+        for k in (0, 5, 26, 30):
+            check_density_size(30, k)
+        for k in (6, 7, 25):
+            with pytest.raises(ValueError, match="limit"):
+                check_density_size(30, k)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ class TestSpectrum:
         gaps = report.gaps_tau_mod_2pi
         targets = {round(g, 6) for g in gaps}
         assert targets == {round(np.pi / 2, 6), round(3 * np.pi / 2, 6)}
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_perturbed_detuning_breaks_the_gap_pattern(self, n):
+        theta = 0.5 * np.pi
+        params = synthesize(ChainSpec(n_sites=n, theta=theta, tau=1.0))
+        detunings = params.detunings.copy()
+        detunings[1] += 1e-3
+        report = spectrum_check(replace(params, detunings=detunings), theta)
+        assert report.nondegenerate
+        assert not report.gap_pattern_ok
+        assert not report.ok
+        assert any(f.startswith("gap pattern not alternating") for f in report.failures)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 7, 8])
     @pytest.mark.parametrize("theta", [0.1 * np.pi, 0.5 * np.pi, 0.9 * np.pi])
