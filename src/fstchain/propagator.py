@@ -38,8 +38,6 @@ __all__ = [
     "split_sectors",
     "evolve_sectors",
     "site_populations",
-    "check_density_size",
-    "one_body_density",
     "dense_oracle",
     "evolve_state",
     "basis_state",
@@ -211,44 +209,6 @@ def site_populations(n_sites: int, sectors: dict) -> np.ndarray:
         bits = (sector_indices(n_sites, k)[:, None] >> shifts) & 1
         p += np.abs(amp) ** 2 @ bits
     return p
-
-
-def check_density_size(n_sites: int, k: int) -> None:
-    """Refuse (ValueError) the tables one_body_density builds for sector k,
-    C(N, k) x N and C(N, k-1) x N entries, above SECTOR_TENSOR_LIMIT."""
-    size = max(comb(n_sites, k), comb(n_sites, k - 1) if k else 0) * n_sites
-    if size > SECTOR_TENSOR_LIMIT:
-        raise ValueError(f"the one-body density of sector N={n_sites}, k={k} needs a "
-                         f"table of {size} entries (limit {SECTOR_TENSOR_LIMIT})")
-
-
-def one_body_density(n_sites: int, sectors: dict) -> np.ndarray:
-    """rho[l, j] = <a+_j a_l> of a sector state (sites 1..N at 0..N-1).
-
-    Each sector k enters through phi[R, l] = <R| a_l |S> amp_S, R = S - l
-    in the (k-1)-sector, so rho = phi^T conj(phi) sums every hop
-    S -> S - l + j.  a_l takes the (-1)^(occupied sites before l) sign of
-    the Jordan-Wigner string, so a hop carries (-1)^(occupied sites strictly
-    between l and j).  The diagonal is site_populations, and a
-    single-particle propagator u evolves rho as u rho u^dag.  Each sector's
-    table is refused by check_density_size before anything is allocated.
-    """
-    for k in sectors:
-        check_density_size(n_sites, k)
-    rho = np.zeros((n_sites, n_sites), dtype=complex)
-    for k, amp in sectors.items():
-        if k == 0:
-            continue
-        idx = sector_indices(n_sites, k)
-        # occupied sites of each subset, ascending: the a-th has a before it
-        occ = np.nonzero((idx[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1)[1]
-        occ = occ.reshape(len(idx), k)
-        lower = sector_indices(n_sites, k - 1)[::-1]
-        rows = len(lower) - 1 - np.searchsorted(lower, idx[:, None] ^ (1 << (n_sites - 1 - occ)))
-        phi = np.zeros((len(lower), n_sites), dtype=complex)
-        phi[rows, occ] = amp[:, None] * (-1.0) ** np.arange(k)
-        rho += phi.T @ phi.conj()
-    return rho
 
 
 def lift_to_full(u: np.ndarray) -> np.ndarray:

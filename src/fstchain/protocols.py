@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .propagator import (
-    STATE_VECTOR_LIMIT,
-    check_density_size,
-    evolve_sectors,
-    one_body_density,
-    sector_indices,
-)
-from .synthesis import ChainSpec, single_excitation_hamiltonian, synthesize
+from .propagator import STATE_VECTOR_LIMIT
+from .synthesis import DENSE_MATRIX_LIMIT, ChainSpec, single_excitation_hamiltonian, synthesize
 
 __all__ = [
     "ParityProtocolResult",
@@ -185,23 +179,6 @@ class ScenarioResult:
     tau: float
 
 
-def _apply_xflip(n_sites: int, sectors: dict, site: int) -> dict:
-    """Toggle the occupation of one site of a sector state: each amplitude
-    moves to the neighbouring sector, at the position of its flipped index."""
-    bit = 1 << (n_sites - site)
-    out: dict = {}
-    for k, amp in sectors.items():
-        src = sector_indices(n_sites, k)
-        occupied = (src & bit) != 0
-        for dst, mask in ((k - 1, occupied), (k + 1, ~occupied)):
-            if mask.any():
-                ascending = sector_indices(n_sites, dst)[::-1]
-                pos = len(ascending) - 1 - np.searchsorted(ascending, src[mask] ^ bit)
-                tgt = out.setdefault(dst, np.zeros(len(ascending), dtype=complex))
-                tgt[pos] += amp[mask]
-    return out
-
-
 # complex entries of one sample chunk's (samples, N, N) arrays in run_scenario
 _CHUNK_ENTRIES = 2**16
 
@@ -210,23 +187,29 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
     """Site-population time series p_n(t) on a uniform grid of n_steps
     intervals.
 
-    H^(1) = V diag(lam) V^T is diagonalised once.  At each event the sectors
-    are evolved to the event time by sector_apply with V e^{-i lam dt} V^T
-    and the event is applied instantaneously.  Between events the samples
-    come from the one-body density matrix rho of the sector state, which a
-    number-conserving quadratic H evolves as u rho u^dag:
-    p_n(t) = Re sum_pq V_np V_nq rhot_pq e^{-i (lam_p - lam_q) t},
-    rhot = V^T rho V, taken in chunks of samples.  An event after t_final
-    (2 tau by default) raises ValueError.
+    The state is held as its generalized one-body density matrix
+    G_ik = <b+_i b_k>, b = (a_1..a_N, a+_1..a+_N), which starts as
+    diag(n, 1 - n) for the initial occupations n.  H^(1) = V diag(lam) V^T
+    is diagonalised once.  An event evolves G to its time as conj(U) G U^T,
+    U = u (+) conj(u) with u = V e^{-i lam dt} V^T, and applies the x-flip
+    X_j = Z_1..Z_{j-1} (a_j + a+_j) as G -> W G W^T, where the signed
+    permutation W swaps a_j and a+_j and negates a_l and a+_l for l > j.
+    Between events p_n(t) = Re sum_pq V_np V_nq rhot_pq e^{-i (lam_p - lam_q) t},
+    rhot = V^T rho V with rho = G[:N, :N]^T, taken in chunks of samples.
+    An event after t_final (2 tau by default) raises ValueError, and so does
+    a chain whose (2N)^2 entries of G exceed DENSE_MATRIX_LIMIT (N > 2048),
+    before anything is allocated.
     """
+    n = scenario.n_sites
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if (int(n_steps) + 1) * scenario.n_sites > STATE_VECTOR_LIMIT:
-        raise ValueError(f"{n_steps} steps of {scenario.n_sites} site populations "
+    if (int(n_steps) + 1) * n > STATE_VECTOR_LIMIT:
+        raise ValueError(f"{n_steps} steps of {n} site populations "
                          f"exceed {STATE_VECTOR_LIMIT} entries")
-    params = synthesize(
-        ChainSpec(n_sites=scenario.n_sites, theta=scenario.theta, tau=1.0)
-    )
+    if (2 * n) ** 2 > DENSE_MATRIX_LIMIT:
+        raise ValueError(f"the density matrix of an N={n} scenario has (2N)^2 = "
+                         f"{(2 * n) ** 2} entries (limit {DENSE_MATRIX_LIMIT}, N <= 2048)")
+    params = synthesize(ChainSpec(n_sites=n, theta=scenario.theta, tau=1.0))
     tau = params.tau
     t_final = scenario.t_final if scenario.t_final is not None else 2 * tau
     slack = 1e-12 * max(t_final, 1.0)
@@ -235,22 +218,19 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
             f"event at t={scenario.events[-1]['t']} after t_final={t_final}"
         )
     times = np.linspace(0.0, t_final, n_steps + 1)
-    n = scenario.n_sites
-    k = len(scenario.excitations)
-    check_density_size(n, k)
-    start = sum(1 << (n - s) for s in scenario.excitations)
-    sectors = {k: (sector_indices(n, k) == start).astype(complex)}
+    occupied = np.isin(np.arange(1, n + 1), scenario.excitations)
+    g = np.diag(np.concatenate((occupied, ~occupied))).astype(complex)
     lam, v = np.linalg.eigh(single_excitation_hamiltonian(params))
 
     pops = np.empty((len(times), n))
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    t_anchor = 0.0  # time at which `sectors` is current
+    t_anchor = 0.0  # time at which `g` is current
     done = 0  # samples written
     for ev in (*scenario.events, None):
         # an event up to `slack` after a grid time is applied before that
         # sample, which is then taken at the event time
         end = len(times) if ev is None else int(np.searchsorted(times + slack, ev["t"]))
-        rhot = v.T @ one_body_density(n, sectors) @ v
+        rhot = v.T @ g[:n, :n].T @ v
         for i in range(done, end, chunk):
             dt = np.maximum(times[i : min(i + chunk, end)] - t_anchor, 0.0)
             a = v * np.exp(-1j * np.outer(dt, lam))[:, None, :]
@@ -258,7 +238,15 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
         done = end
         if ev is not None:
             u = (v * np.exp(-1j * lam * (ev["t"] - t_anchor))) @ v.T
-            sectors = _apply_xflip(n, evolve_sectors(u, sectors), int(ev["site"]))
+            j = int(ev["site"]) - 1
+            # W U: U's rows j and N + j swapped, the rows of sites after j
+            # negated; W is real, so W conj(U) G U^T W^T = conj(WU) G (WU)^T
+            wu = np.zeros((2 * n, 2 * n), dtype=complex)
+            wu[:n, :n], wu[n:, n:] = u, u.conj()
+            wu[[j, n + j]] = wu[[n + j, j]]
+            wu[j + 1 : n] *= -1
+            wu[n + j + 1 :] *= -1
+            g = wu.conj() @ g @ wu.T
             t_anchor = ev["t"]
     return ScenarioResult(times=times / tau, populations=pops, tau=tau)
 

@@ -538,6 +538,14 @@ class TestScenario:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_oversized_chain_refused(self, tmp_path, capsys):
+        f = self._scenario_file(tmp_path, {"n_sites": 2049, "theta": 1.0, "excitations": [1]})
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "scenario", str(f)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_populations_csv_shape(self, tmp_path):
         f = self._scenario_file(tmp_path, {"n_sites": 4, "theta": 1.0, "excitations": [2]})
         out = tmp_path / "o"

@@ -1,7 +1,7 @@
 """Property tests: the tensor-contraction sector engine against the
-determinant lift, the sector state of a chain against its 2^N vector, its
-one-body density matrix against site populations, run_scenario against a
-dense state-vector reference, and the parity protocol's linearity."""
+determinant lift, the sector state of a chain against its 2^N vector,
+run_scenario against a dense state-vector reference, and the parity
+protocol's linearity."""
 
 from math import comb
 
@@ -16,16 +16,14 @@ from fstchain.propagator import (
     SECTOR_TENSOR_LIMIT,
     basis_state,
     dense_oracle,
-    evolve_sectors,
     evolve_state,
-    one_body_density,
     sector_apply,
     sector_indices,
     sector_propagator,
     site_populations,
     split_sectors,
 )
-from fstchain.protocols import Scenario, _apply_xflip, parity_measure, run_scenario
+from fstchain.protocols import Scenario, parity_measure, run_scenario
 from fstchain.synthesis import ChainSpec, synthesize
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -110,31 +108,6 @@ def test_site_populations_match_dense_masks(case):
     idx = np.arange(2**n)
     want = [np.sum(np.abs(psi[(idx >> (n - s)) & 1 == 1]) ** 2) for s in range(1, n + 1)]
     assert np.abs(site_populations(n, split_sectors(psi)) - want).max() < 1e-12
-
-
-@SETTINGS
-@given(sector_states(), st.data())
-def test_xflip_matches_pauli_x(case, data):
-    n, psi = case
-    site = data.draw(st.integers(1, n))
-    flipped = _apply_xflip(n, split_sectors(psi), site)
-    want = psi[np.arange(2**n) ^ (1 << (n - site))]
-    assert np.abs(_scatter(n, flipped) - want).max() < 1e-12
-
-
-@SETTINGS
-@given(sector_states(max_sites=9), st.integers(0, 2**32 - 1))
-def test_one_body_density_evolves_as_u_rho_u_dagger(case, seed):
-    n, psi = case
-    sectors = split_sectors(psi)
-    rho = one_body_density(n, sectors)
-    assert np.abs(rho - rho.conj().T).max() < 1e-12
-    assert np.abs(np.diag(rho) - site_populations(n, sectors)).max() < 1e-12
-    # a random u mixes every off-diagonal element, Jordan-Wigner signs
-    # included, into the populations
-    u = _unitary(n, np.random.default_rng(seed))
-    want = site_populations(n, evolve_sectors(u, sectors))
-    assert np.abs(np.diag(u @ rho @ u.conj().T) - want).max() < 1e-12
 
 
 @SETTINGS
@@ -228,7 +201,7 @@ def _dense_populations(scenario, n_steps):
     evolved by dense_oracle with each x-flip applied as a bit flip."""
     n = scenario.n_sites
     params = synthesize(ChainSpec(n_sites=n, theta=scenario.theta, tau=1.0))
-    t_final = 2 * params.tau
+    t_final = scenario.t_final if scenario.t_final is not None else 2 * params.tau
     idx = np.arange(2**n)
     occupied = (idx[:, None] >> (n - np.arange(1, n + 1))) & 1
     psi = basis_state(n, scenario.excitations)
@@ -236,7 +209,7 @@ def _dense_populations(scenario, n_steps):
     t_anchor = 0.0
     rows = []
     for t in np.linspace(0.0, t_final, n_steps + 1):
-        while events and events[0]["t"] <= t + 1e-12 * t_final:
+        while events and events[0]["t"] <= t + 1e-12 * max(t_final, 1.0):
             ev = events.pop(0)
             psi = dense_oracle(params, ev["t"] - t_anchor) @ psi
             psi = psi[idx ^ (1 << (n - ev["site"]))]
@@ -269,3 +242,31 @@ def test_run_scenario_matches_dense_state_vector(case):
     scenario, n_steps = case
     got = run_scenario(scenario, n_steps=n_steps).populations
     assert np.abs(got - _dense_populations(scenario, n_steps)).max() < 1e-9
+
+
+@st.composite
+def flip_scenarios(draw):
+    """A scenario on N <= 8 sites with up to 4 x-flips, some at t = 0 and
+    some repeating the flip before them (same site, same time), ending at a
+    drawn t_final, and its step count."""
+    n = draw(st.integers(2, 8))
+    sites = st.integers(1, n)
+    t_final = draw(st.floats(0.1, 3.0))
+    flips = []
+    for _ in range(draw(st.integers(0, 4))):
+        if flips and draw(st.booleans()):
+            flips.append(flips[-1])
+        else:
+            flips.append((draw(st.just(0.0) | st.floats(0.0, t_final)), draw(sites)))
+    events = tuple({"t": t, "kind": "xflip", "site": s} for t, s in sorted(flips))
+    excitations = tuple(draw(st.lists(sites, unique=True, max_size=n)))
+    theta = draw(st.floats(0.05 * np.pi, np.pi))
+    return Scenario(n, theta, excitations, events, t_final), draw(st.integers(1, 10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_scenarios())
+def test_flips_match_dense_state_vector(case):
+    scenario, n_steps = case
+    got = run_scenario(scenario, n_steps=n_steps).populations
+    assert np.abs(got - _dense_populations(scenario, n_steps)).max() < 1e-12

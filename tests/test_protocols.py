@@ -6,17 +6,15 @@ import pytest
 from fstchain import gates, propagator
 from fstchain.propagator import (
     basis_state,
-    check_density_size,
-    evolve_sectors,
+    evolve_state,
     extract_transfer_phase,
     lift_to_full,
-    sector_indices,
     single_propagator,
     site_populations,
+    split_sectors,
 )
 from fstchain.protocols import (
     Scenario,
-    _apply_xflip,
     correlator_measure,
     parity_measure,
     repeated_parity,
@@ -263,26 +261,25 @@ class TestScenario:
 
 
 def _per_sample_populations(scenario, n_steps):
-    """Reference on run_scenario's grid: at every sample, single_propagator
-    from the last event time and site_populations of the evolved sectors."""
+    """Reference on run_scenario's grid from a dense 2^N state vector: each
+    x-flip is a bit flip of its index, every sample is evolve_state from the
+    last event time, and site_populations reads its sectors."""
     n = scenario.n_sites
     params = synthesize(ChainSpec(n_sites=n, theta=scenario.theta, tau=1.0))
     t_final = scenario.t_final if scenario.t_final is not None else 2 * params.tau
     slack = 1e-12 * max(t_final, 1.0)
-    k = len(scenario.excitations)
-    start = sum(1 << (n - s) for s in scenario.excitations)
-    sectors = {k: (sector_indices(n, k) == start).astype(complex)}
+    psi = basis_state(n, scenario.excitations)
     events = list(scenario.events)
     t_anchor = 0.0
     rows = []
     for t in np.linspace(0.0, t_final, n_steps + 1):
         while events and events[0]["t"] <= t + slack:
             ev = events.pop(0)
-            u = single_propagator(params, ev["t"] - t_anchor)
-            sectors = _apply_xflip(n, evolve_sectors(u, sectors), ev["site"])
+            psi = evolve_state(psi, params, ev["t"] - t_anchor)
+            psi = psi[np.arange(2**n) ^ (1 << (n - ev["site"]))]
             t_anchor = ev["t"]
-        u = single_propagator(params, max(t - t_anchor, 0.0))
-        rows.append(site_populations(n, evolve_sectors(u, sectors)))
+        phi = evolve_state(psi, params, max(t - t_anchor, 0.0))
+        rows.append(site_populations(n, split_sectors(phi)))
     return np.array(rows)
 
 
@@ -321,7 +318,7 @@ class TestScenarioAgainstPerSample:
         got = run_scenario(scenario, n_steps=steps).populations
         assert np.abs(got - _per_sample_populations(scenario, steps)).max() < 1e-12
 
-    def test_one_eigh_per_scenario_and_one_contraction_per_event(self, monkeypatch):
+    def test_one_eigh_and_no_sector_apply(self, monkeypatch):
         eighs, applied = [], []
         eigh, sector_apply = np.linalg.eigh, propagator.sector_apply
 
@@ -338,45 +335,62 @@ class TestScenarioAgainstPerSample:
         events = _flips((0.2, 3), (0.9, 6), (0.9, 6), (1.4, 1))
         run_scenario(Scenario(11, 1.0, (2, 5), events), n_steps=60)
         assert eighs == [(11, 11)]
-        # an x-flip sends sector k to k - 1 and k + 1, so the events see
-        # sectors {2}, {1, 3}, {0, 2, 4} and {1, 3, 5}
-        assert applied == [2, 1, 3, 0, 2, 4, 1, 3, 5]
-        eighs.clear()
-        applied.clear()
-        run_scenario(Scenario(11, 1.0, (2, 5)), n_steps=60)
-        assert eighs == [(11, 11)]
         assert applied == []
 
     def test_samples_are_taken_in_chunks(self):
-        # all 201 samples at once would hold (201, 63, 63) complex arrays,
-        # 12.8 MB each
-        s = Scenario(63, 0.7 * np.pi, (5,), _flips((0.3, 9)))
-        run_scenario(s, n_steps=2)
+        # 400 sites, past the 63 that bit-indexed sectors allow.  The event
+        # holds about five (2N)^2 complex matrices of 10 MB; all 41 samples
+        # at once would hold (41, 400, 400) complex arrays of 105 MB each
+        n, site, flip, t_flip = 400, 5, 9, 0.33
+        s = Scenario(n, 0.7 * np.pi, (site,), _flips((t_flip, flip)))
         tracemalloc.start()
         try:
-            res = run_scenario(s, n_steps=200)
+            res = run_scenario(s, n_steps=40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
-        assert np.abs(res.populations - _per_sample_populations(s, 200)).max() < 1e-12
+        assert peak < 64e6
+        # before the flip the excitation spreads as |u_n,site|^2; the flip
+        # adds 1 - 2 p_flip(t_flip) excitations
+        params = synthesize(ChainSpec(n_sites=n, theta=0.7 * np.pi, tau=1.0))
+        before = res.times * res.tau < t_flip
+        want = [np.abs(single_propagator(params, t * res.tau)[:, site - 1]) ** 2
+                for t in res.times[before]]
+        assert np.abs(res.populations[before] - want).max() < 1e-12
+        p_flip = np.abs(single_propagator(params, t_flip)[flip - 1, site - 1]) ** 2
+        assert np.abs(res.populations[~before].sum(axis=1) - (2 - 2 * p_flip)).max() < 1e-10
 
-    def test_oversized_density_table_refused_before_allocation(self):
-        s = Scenario(40, 1.0, tuple(range(1, 21)))
+    def test_oversized_chain_refused_before_allocation(self):
+        # G has (2N)^2 entries: N = 2048 fits DENSE_MATRIX_LIMIT (it passes
+        # on to the next check, a late event), 2049 does not
+        late = _flips((50.0, 1))
+        with pytest.raises(ValueError, match="after t_final"):
+            run_scenario(Scenario(2048, 1.0, (1,), late), n_steps=10)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="one-body density"):
-                run_scenario(s, n_steps=10)
+            with pytest.raises(ValueError, match=r"\(2N\)\^2 = 16793604 entries"):
+                run_scenario(Scenario(2049, 1.0, (1,), late), n_steps=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_density_table_limit(self):
-        # C(30, 5) * 30 = 4.3e6 entries fit, C(30, 6) * 30 = 1.8e7 do not,
-        # whether C(30, 6) counts sector k or its (k-1)-sector
-        for k in (0, 5, 26, 30):
-            check_density_size(30, k)
-        for k in (6, 7, 25):
-            with pytest.raises(ValueError, match="limit"):
-                check_density_size(30, k)
+    @pytest.mark.parametrize("n,excitations,events", [
+        # C(40, 20) = 1.4e11 amplitudes; 201 samples in chunks of 40
+        (40, tuple(range(1, 41, 2)), ()),
+        # sector_apply refuses the 15^7-entry tensor of this k=7 sector
+        (15, (1, 2, 4, 7, 9, 12, 15), _flips((1.5, 8))),
+    ], ids=["n40_k20", "n15_k7_flip"])
+    def test_large_sectors_run(self, n, excitations, events):
+        theta = 0.6 * np.pi
+        res = run_scenario(Scenario(n, theta, excitations, events), n_steps=200)
+        occupied = np.isin(np.arange(1, n + 1), excitations).astype(float)
+        total = res.populations.sum(axis=1)
+        t = res.times * res.tau
+        for seg in (t < 1.5, t >= 1.5):
+            assert np.abs(total[seg] - total[seg][0]).max() < 1e-10
+        assert abs(total[0] - len(excitations)) < 1e-10
+        # at tau each mirror pair (n, N+1-n) is rotated by theta
+        c2, s2 = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
+        want = c2 * occupied + s2 * occupied[::-1]
+        assert np.abs(res.populations[100] - want).max() < 1e-10

@@ -197,3 +197,10 @@ def test_persymmetry_of_hamiltonian():
     params = synthesize(ChainSpec(n_sites=7, theta=0.7, tau=1.0))
     h = single_excitation_hamiltonian(params)
     np.testing.assert_allclose(h, h[::-1, ::-1].T, atol=1e-15)
+
+
+def test_hamiltonian_is_exactly_symmetric():
+    # eigh reads one triangle only, so no spectrum test sees the other
+    params = synthesize(ChainSpec(n_sites=7, theta=0.7, tau=1.0))
+    h = single_excitation_hamiltonian(params)
+    np.testing.assert_array_equal(h, h.T)
