@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import erf, jv
 
 from . import gates
@@ -582,7 +581,12 @@ def seed_pulse_config(
 ) -> PulseConfig:
     """Theory-seeded pulse: amplitudes solved so the sideband coupling
     matches J = sqrt((pi - theta/2) theta)/tau_final, drive frequencies at
-    the dressed detunings minus the Eq.-S21 shift."""
+    the dressed detunings minus the Eq.-S21 shift.
+
+    Each amplitude is bisected to 1e-12 on [1e-6, 0.5 - |Phi_DC| - 1e-3];
+    a gate so long that the smallest amplitude overshoots J, or so short
+    that the largest falls below it, raises ValueError naming the coupler
+    and tau_final."""
     if not 0.0 < theta <= np.pi:
         raise ValueError("theta must be in (0, pi]")
     if not 0.0 < tau_final < np.inf:
@@ -593,13 +597,24 @@ def seed_pulse_config(
 
     def solve_amp(coupler):
         f = lambda a: abs(sideband_coupling(spec, coupler, a)) - j
-        hi = 0.5 - abs(spec.phi_dc1 if coupler == 1 else spec.phi_dc2) - 1e-3
+        lo, hi = 1e-6, 0.5 - abs(spec.phi_dc1 if coupler == 1 else spec.phi_dc2) - 1e-3
         if f(hi) < 0:
             raise ValueError(
                 f"no flux amplitude on coupler {coupler} reaches the sideband "
                 f"coupling of a {tau_final:.3g} s gate"
             )
-        return brentq(f, 1e-6, hi, xtol=1e-12)
+        if f(lo) > 0:
+            raise ValueError(
+                f"the smallest flux amplitude on coupler {coupler}, {lo:g}, already "
+                f"exceeds the sideband coupling of a {tau_final:.3g} s gate"
+            )
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     return PulseConfig(
         amp1=solve_amp(1),
@@ -693,6 +708,58 @@ def dressed_basis(spec: DeviceSpec, nmax: int | None = None) -> np.ndarray:
     return w
 
 
+# damped Newton ascent in _fit_z_phases: the floor on the eigenvalues of
+# -H relative to |S|^2, and the relative gain below which it stops
+_NEWTON_FLOOR = 1e-3
+_NEWTON_GAIN = 1e-15
+
+
+def _fit_z_phases(w: np.ndarray, z: np.ndarray) -> tuple:
+    """Maximise |S(z)|^2, S(z) = sum_k w_k e^{-i bits_k . z}, from z by
+    damped Newton ascent; returns (|S|^2, z) at the end.
+
+    With S_j = sum_k bits_kj t_k and S_jk = sum_k bits_kj bits_kl t_k,
+    t_k = w_k e^{-i bits_k . z}, the gradient is 2 Im(conj(S) S_j) and the
+    Hessian 2 Re(conj(S_j) S_k - conj(S) S_jk).  The eigenvalues of -H are
+    floored at _NEWTON_FLOOR |S|^2, so each step is an ascent direction; a
+    step that does not ascend is halved (at most 60 times), and the ascent
+    stops once the gain (or the gain the step predicts) falls below
+    _NEWTON_GAIN |S|^2, or after 100 steps.
+    The ascent runs on w / max|w_k|, so that a tiny w (a block that leaked
+    almost all its population) does not underflow the floor.
+    """
+    scale = np.abs(w).max()
+    if scale == 0:
+        return 0.0, z
+    w = w / scale
+    bits = _COMP_BITS
+    t = w * np.exp(-1j * (bits @ z))
+    f = abs(t.sum()) ** 2
+    for _ in range(100):
+        if f < np.finfo(float).tiny:
+            break  # S = 0 (to rounding) is stationary, with zero gradient
+        s, s1 = t.sum(), bits.T @ t
+        grad = 2 * (np.conj(s) * s1).imag
+        hess = 2 * (np.conj(s1)[:, np.newaxis] * s1 - np.conj(s) * ((bits.T * t) @ bits)).real
+        lam, vec = np.linalg.eigh(-hess)
+        step = vec @ ((vec.T @ grad) / np.maximum(lam, _NEWTON_FLOOR * f))
+        if grad @ step / 2 <= _NEWTON_GAIN * f:
+            break
+        for _ in range(60):
+            t_new = w * np.exp(-1j * (bits @ (z + step)))
+            f_new = abs(t_new.sum()) ** 2
+            if f_new > f:
+                break
+            step = step / 2
+        else:
+            break
+        gain = f_new - f
+        z, t, f = z + step, t_new, f_new
+        if gain <= _NEWTON_GAIN * f:
+            break
+    return f * scale**2, z
+
+
 def gate_metrics(
     u_sim: np.ndarray,
     theta: float,
@@ -709,9 +776,9 @@ def gate_metrics(
     the frame rotating at (w~2 + wd1, w~2, w~2 + wd2) over tau_final (when
     cfg is given), the fixed Z-corrections exp(i theta/2 n_1,3)
     exp(i theta n_2) are folded into the target, and three residual
-    virtual-Z angles plus the global phase are optimized away: BFGS with
-    the analytic gradient of -|S(z)|^2 from three starts, of which the
-    best is kept.
+    virtual-Z angles plus the global phase are optimized away: a damped
+    Newton ascent of |S(z)|^2 (_fit_z_phases) from three starts (zeros,
+    pi/2 and the phases of w against w_000), of which the best is kept.
     """
     w_basis = dressed_basis(spec, nmax)
     if np.shape(u_sim) != w_basis.shape:
@@ -731,29 +798,19 @@ def gate_metrics(
     trace_mm = float(np.trace(m.conj().T @ m).real)
     w = np.diag(m @ v.conj().T)
 
-    def neg_overlap_sq(z):
-        # -|S(z)|^2 with S(z) = sum_k w_k e^{-i bits_k . z}, and its gradient
-        # -2 Re(conj(S) dS/dz) = -2 Im(conj(S) sum_k bits_k w_k e^{-i bits_k . z})
-        terms = w * np.exp(-1j * (_COMP_BITS @ z))
-        s = terms.sum()
-        return -abs(s) ** 2, -2 * (np.conj(s) * (_COMP_BITS.T @ terms)).imag
-
     # w_k = c e^{i bits_k . z} for an exactly Z-rotated target: the phases of
     # w_100, w_010, w_001 against w_000 are the optimum itself
     informed = np.angle(w[[4, 2, 1]] * np.conj(w[0]))
-    best = min(
-        (
-            minimize(neg_overlap_sq, z0, method="BFGS", jac=True, options={"gtol": 1e-6})
-            for z0 in (np.zeros(3), np.full(3, np.pi / 2), informed)
-        ),
-        key=lambda r: r.fun,
+    overlap_sq, z = max(
+        (_fit_z_phases(w, z0) for z0 in (np.zeros(3), np.full(3, np.pi / 2), informed)),
+        key=lambda r: r[0],
     )
-    fid = (trace_mm - best.fun) / (d * (d + 1))
+    fid = (trace_mm + overlap_sq) / (d * (d + 1))
     # leakage: population left outside the computational block, averaged
     # over computational input states (frame phases do not affect it)
     leak = 1.0 - float(np.mean(np.sum(np.abs(m) ** 2, axis=0)))
-    z = np.mod(best.x, 2 * np.pi)
-    return GateMetrics(avg_fidelity=fid, leakage=leak, z_corrections=tuple(z))
+    return GateMetrics(avg_fidelity=fid, leakage=leak,
+                       z_corrections=tuple(np.mod(z, 2 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -787,8 +844,11 @@ def optimize_pulse(
     The search stops as soon as the best infidelity falls below
     _TARGET_INFIDELITY or the evaluation budget is exhausted; the result
     counts as converged below 10 times that.  The search
-    is L-BFGS-B with finite-difference gradients.
+    is L-BFGS-B with finite-difference gradients; scipy.optimize is
+    imported here, so that only this search (``fstchain device-optimize``)
+    loads it.
     """
+    from scipy.optimize import minimize
 
     class _Done(Exception):
         pass

@@ -183,6 +183,27 @@ class ScenarioResult:
 _CHUNK_ENTRIES = 2**16
 
 
+def _apply_event(g, v, lam, dt, site) -> None:
+    """Evolve the 2N x 2N generalized density matrix g in place by dt under
+    H^(1) = V diag(lam) V^T, then x-flip site (1-based)."""
+    n = len(lam)
+    u = (v * np.exp(-1j * lam * dt)) @ v.T
+    uc = u.conj()
+    # conj(U) G U^T with U = u (+) conj(u), one N x N block at a time
+    halves = (slice(0, n), slice(n, 2 * n))
+    for r, left in zip(halves, (uc, u)):
+        for c, right in zip(halves, (u.T, uc.T)):
+            np.matmul(left @ g[r, c], right, out=g[r, c])
+    # W G W^T: rows and columns j and N + j swapped, those of the sites
+    # after j negated
+    j = site - 1
+    g[[j, n + j]] = g[[n + j, j]]
+    g[:, [j, n + j]] = g[:, [n + j, j]]
+    for after in (slice(j + 1, n), slice(n + j + 1, 2 * n)):
+        g[after] *= -1
+        g[:, after] *= -1
+
+
 def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
     """Site-population time series p_n(t) on a uniform grid of n_steps
     intervals.
@@ -237,16 +258,7 @@ def run_scenario(scenario: Scenario, n_steps: int = 200) -> ScenarioResult:
             pops[i : i + len(dt)] = ((a @ rhot) * a.conj()).real.sum(axis=2)
         done = end
         if ev is not None:
-            u = (v * np.exp(-1j * lam * (ev["t"] - t_anchor))) @ v.T
-            j = int(ev["site"]) - 1
-            # W U: U's rows j and N + j swapped, the rows of sites after j
-            # negated; W is real, so W conj(U) G U^T W^T = conj(WU) G (WU)^T
-            wu = np.zeros((2 * n, 2 * n), dtype=complex)
-            wu[:n, :n], wu[n:, n:] = u, u.conj()
-            wu[[j, n + j]] = wu[[n + j, j]]
-            wu[j + 1 : n] *= -1
-            wu[n + j + 1 :] *= -1
-            g = wu.conj() @ g @ wu.T
+            _apply_event(g, v, lam, ev["t"] - t_anchor, int(ev["site"]))
             t_anchor = ev["t"]
     return ScenarioResult(times=times / tau, populations=pops, tau=tau)
 

@@ -583,7 +583,9 @@ class TestDeviceBadInput:
         "argv",
         [["--theta", "0"], ["--theta", "-1"], ["--theta", "nan"],
          ["--theta", "pi", "--tau-final", "-1"], ["--theta", "pi", "--tau-final", "0"],
-         ["--theta", "pi", "--tau-final", "nan"], ["--theta", "pi", "--tau-final", "1e-12"]],
+         ["--theta", "pi", "--tau-final", "nan"], ["--theta", "pi", "--tau-final", "1e-12"],
+         # so long that the smallest seed amplitude overshoots the coupling
+         ["--theta", "pi", "--tau-final", "1"]],
     )
     def test_optimize_refused_before_propagation(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(device, "propagate", _no_propagation)

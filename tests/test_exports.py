@@ -1,8 +1,12 @@
 """Every exported name exists: a name deleted from a module must also leave
-its __all__ and the package's own imports."""
+its __all__ and the package's own imports.  Importing the package and its
+CLI leaves scipy.optimize unloaded."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,14 @@ def test_all_names_exist_and_star_import_works(name):
     namespace: dict = {}
     exec(f"from fstchain.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only device.optimize_pulse imports scipy.optimize, inside its body
+    code = ("import sys, fstchain, fstchain.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(fstchain.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_package_imports_exist():

@@ -338,9 +338,9 @@ class TestScenarioAgainstPerSample:
         assert applied == []
 
     def test_samples_are_taken_in_chunks(self):
-        # 400 sites, past the 63 that bit-indexed sectors allow.  The event
-        # holds about five (2N)^2 complex matrices of 10 MB; all 41 samples
-        # at once would hold (41, 400, 400) complex arrays of 105 MB each
+        # 400 sites, past the 63 that bit-indexed sectors allow.  G is a
+        # (2N)^2 complex matrix of 10 MB; all 41 samples at once would hold
+        # (41, 400, 400) complex arrays of 105 MB each
         n, site, flip, t_flip = 400, 5, 9, 0.33
         s = Scenario(n, 0.7 * np.pi, (site,), _flips((t_flip, flip)))
         tracemalloc.start()
@@ -359,6 +359,20 @@ class TestScenarioAgainstPerSample:
         assert np.abs(res.populations[before] - want).max() < 1e-12
         p_flip = np.abs(single_propagator(params, t_flip)[flip - 1, site - 1]) ** 2
         assert np.abs(res.populations[~before].sum(axis=1) - (2 - 2 * p_flip)).max() < 1e-10
+
+    def test_event_adds_three_n_by_n_matrices(self):
+        # an event updates G block by block: besides G it holds u, conj(u)
+        # and one N x N product
+        n = 400
+        peaks = []
+        for events in ((), _flips((0.33, 9))):
+            tracemalloc.start()
+            try:
+                run_scenario(Scenario(n, 0.7 * np.pi, (5,), events), n_steps=40)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * n * n * 16
 
     def test_oversized_chain_refused_before_allocation(self):
         # G has (2N)^2 entries: N = 2048 fits DENSE_MATRIX_LIMIT (it passes
