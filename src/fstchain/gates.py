@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import (
-    STATE_VECTOR_LIMIT, check_dense_size, dense_oracle, extract_transfer_phase,
-    single_propagator,
+    check_dense_size, dense_oracle, extract_transfer_phase, single_propagator,
 )
 from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
@@ -303,72 +302,52 @@ def verify_mapping(params: ChainParams, theta: float) -> MappingReport:
     )
 
 
-_HOLE = 0  # ghost rider marking the empty slot of odd chains
 # largest swap network compile_decomposition builds, in gates: the network
-# has N(N-1)/2 of them, so N <= 1024 (N = 1000 takes about 8 s and 400 MB)
+# has N(N-1)/2 of them, so N <= 1024 (N = 1000, checked, takes about 2.0 s
+# and peaks at 235 MB RSS on one core of a 2-vCPU x86-64 VM)
 DECOMPOSITION_GATE_LIMIT = 2**19
 
 
 def _bounce_layers(n: int):
-    """Schedule of the swap network: brick-wall odd-even transposition of
-    the folded ordering toward full reversal.
+    """Schedule of the swap network: a brick wall on M slots (M=N for even
+    N; M=N+1 for odd N, with a hole after the middle site).
 
-    Sites ride on M slots (M=N for even N; M=N+1 for odd N, with a hole
-    inserted after the middle site).  Each compare-exchange of two
-    trajectories emits an FSWAP, except when the two riders form a mirror
-    pair (a + b = N + 1): the pair interacts via iSWAP(-theta) and the
-    riders bounce (exchange trajectories with no physical swap).  Hole
-    crossings emit nothing.  Returns layers of ("ISwapTheta"|"FSwap", bond)
-    with 0-based physical bonds.
+    Layer l holds the slot pairs (p, p+1) with p = l (mod 2), for l = 0..M-1.
+    The middle pair p = M/2 - 1 is where each mirror pair (a, N+1-a) meets,
+    so it holds an iSWAP(-theta); every other pair is an FSWAP.
+    A pair touching the hole emits nothing and moves the hole to its other
+    slot; slots after the hole sit on physical bond p - 1.  Returns the
+    nonempty layers of ("ISwapTheta"|"FSwap", bond) with 0-based physical
+    bonds.
     """
-    odd = n % 2
-    m = n + odd
-    if odd:
-        mid = (n + 1) // 2
-        riders = list(range(1, mid + 1)) + [_HOLE] + list(range(mid + 1, n + 1))
-    else:
-        riders = list(range(1, n + 1))
-    virt = list(range(m))  # trajectory id per slot
-    rider_of = dict(enumerate(riders))  # trajectory id -> rider
-    hole_slot = riders.index(_HOLE) if odd else -1
-    target = sorted(virt, reverse=True)
+    m = n + n % 2
+    hole = (n + 1) // 2 if n % 2 else m  # slot m is never in a pair
     layers = []
-    while virt != target:
+    for parity in range(m):
         layer = []
-        for p in range(len(layers) % 2, m - 1, 2):
-            vi, vj = virt[p], virt[p + 1]
-            if vi > vj:
-                continue
-            ri, rj = rider_of[vi], rider_of[vj]
-            bond = p - (1 if odd and hole_slot < p else 0)
-            if ri == _HOLE or rj == _HOLE:
-                hole_slot = p + 1 if hole_slot == p else p
-            elif ri + rj == n + 1:
-                # mirror pair meets: interact and bounce, no physical swap
-                layer.append(("ISwapTheta", bond))
-                rider_of[vi], rider_of[vj] = rj, ri
+        for p in range(parity % 2, m - 1, 2):
+            if hole in (p, p + 1):
+                hole = 2 * p + 1 - hole
             else:
-                layer.append(("FSwap", bond))
-            virt[p], virt[p + 1] = vj, vi
+                layer.append(("ISwapTheta" if p == m // 2 - 1 else "FSwap",
+                              p - 1 if hole < p else p))
         if layer:
             layers.append(layer)
-        if len(layers) > 3 * m:
-            raise RuntimeError("swap network failed to converge")
     return layers
 
 
 def compile_decomposition(
-    n_sites: int, theta: float, j_max: float, verify: bool | None = None
+    n_sites: int, theta: float, j_max: float, verify: bool = True
 ) -> Circuit:
     """Compile K_N into a layered {FSWAP, iSWAP(-theta)} swap network.
 
     Gate counts: N even -> N^2/2 - N FSWAPs + N/2 iSWAPs; N odd ->
     (N-1)^2/2 FSWAPs + (N-1)/2 iSWAPs.  The circuit equals K_N up to a
-    final single-qubit Z layer; this is verified on N+3 states (see
-    _z_layer_residual) for N <= 12, or always when verify=True (refused
-    with ValueError past N = 19), and a failure aborts compilation.
-    theta must be finite and j_max positive and finite.  Networks above
-    DECOMPOSITION_GATE_LIMIT gates are refused before any is built.
+    final single-qubit Z layer; unless verify=False this is checked on the
+    N x N single-particle matrices (see _single_particle_residual), and a
+    failure aborts compilation.  theta must be finite and j_max positive
+    and finite.  Networks above DECOMPOSITION_GATE_LIMIT gates are refused
+    before any is built.
     """
     if n_sites < 3:
         raise ValueError("decomposition defined for N >= 3")
@@ -387,10 +366,8 @@ def compile_decomposition(
         for raw in _bounce_layers(n_sites)
     )
     circuit = Circuit(n_sites=n_sites, layers=layers)
-    if verify is None:
-        verify = n_sites <= 12
     if verify:
-        err = _z_layer_residual(circuit, theta)
+        err = _single_particle_residual(circuit, theta)
         if not err <= 1e-8:
             raise RuntimeError(
                 f"compiled circuit is not Z-layer equivalent to K_N "
@@ -399,23 +376,19 @@ def compile_decomposition(
     return circuit
 
 
-def _low_rows(n: int) -> np.ndarray:
-    """Basis indices of the vacuum and of one excitation on site 1..N."""
-    return np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))
-
-
 def _z_layer_error(a: np.ndarray, b: np.ndarray) -> float:
     """The largest entry of a - e^{i phi} D b, for 2^N x m blocks a and b
     and D a single-qubit Z layer; b is overwritten.
 
     e^{i phi} and the N per-qubit phases of D are the phases of the overlaps
-    sum_j a_ij conj(b_ij) of the _low_rows: for a = e^{i phi} D b each is
-    the phase times the squared norm of b's row, so any b whose low rows are
-    not zero serves (a unitary b, or a block holding the N+1 low states).
+    sum_j a_ij conj(b_ij) of the rows of the vacuum and of one excitation
+    on site 1..N: for a = e^{i phi} D b each is the phase times the squared
+    norm of b's row, so any b whose such rows are not zero serves.
     D is extended to every basis state as the product of its per-qubit
     phases.  The phases are unimodular, so a scaled a (a = 2b) is refused.
     """
-    low = _low_rows(len(a).bit_length() - 1)
+    n = len(a).bit_length() - 1
+    low = np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))
     phases = np.exp(1j * np.angle(np.einsum("ij,ij->i", a[low], b[low].conj())))
     d = phases[:1]
     for q in phases[1:] / phases[0]:
@@ -425,24 +398,40 @@ def _z_layer_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(b).max())
 
 
-def _z_layer_residual(circuit: Circuit, theta: float) -> float:
-    """How far the circuit C is from e^{i phi} D K_N on N+3 states: the
-    vacuum, the N single-excitation states and two seeded random states
-    (see _z_layer_error).  C and K_N both conserve excitation number, so
-    the first N+1 states fix the phases.  The block of states is refused
-    above STATE_VECTOR_LIMIT entries.
+def _single_particle_residual(circuit: Circuit, theta: float) -> float:
+    """How far a circuit C of two-site gates is from D K_N, D a single-qubit
+    Z layer, judged on N x N single-particle matrices: the larger of the
+    largest entry of C_sp - D K_sp and the largest departure of a gate from
+    a free-fermion gate (|00> fixed, |11> times the determinant of its
+    block on |10>, |01>).  Such a circuit is the lift of C_sp, as K_N is of
+    K_sp (cos(theta/2) on the diagonal, -i sin(theta/2) on the antidiagonal,
+    1 on the middle site of odd N), so C = D K_N on all 2^N states exactly
+    when C_sp = D K_sp.  D is fitted from the phases of the rows' overlaps
+    with K_sp; a block that only exchanges its two sites relabels rows.
     """
     n = circuit.n_sites
-    if 2**n * (n + 3) > STATE_VECTOR_LIMIT:
-        raise ValueError(f"verifying an N={n} circuit needs 2^{n} x {n + 3} "
-                         f"entries (limit {STATE_VECTOR_LIMIT})")
-    x = np.zeros((2**n, n + 3), dtype=complex)
-    x[_low_rows(n), np.arange(n + 1)] = 1.0
-    rng = np.random.default_rng(0)
-    x[:, n + 1:] = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
-    x[:, n + 1:] /= np.linalg.norm(x[:, n + 1:], axis=0)
-    cx = circuit.apply(x)
-    return _z_layer_error(cx, _apply_pairs(x, theta))  # x is not needed again
+    u = np.eye(n, dtype=complex)
+    row = np.arange(n)  # row i of C_sp is u[row[i]]
+    err = 0.0
+    for layer in circuit.layers:
+        g = np.array([op.matrix() for op in layer])
+        block = g[:, 2:0:-1, 2:0:-1]  # on (|10>, |01>): sites p, p+1
+        free = np.zeros_like(g)
+        free[:, 0, 0] = 1.0
+        free[:, 1:3, 1:3] = g[:, 1:3, 1:3]
+        free[:, 3, 3] = block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
+        err = max(err, np.abs(g - free).max())
+        pairs = np.array([op.targets for op in layer]) - 1
+        swap = (block == [[0, 1], [1, 0]]).all(axis=(1, 2))
+        row[pairs[swap]] = row[pairs[swap][:, ::-1]]
+        rows = row[pairs[~swap]]
+        u[rows] = block[~swap] @ u[rows]
+    u = u[row]
+    k = np.cos(theta / 2) * np.eye(n) - 1j * np.sin(theta / 2) * np.eye(n)[::-1]
+    if n % 2:
+        k[n // 2, n // 2] = 1.0
+    d = np.exp(1j * np.angle(np.einsum("ij,ij->i", u, k.conj())))
+    return max(err, float(np.abs(u - d[:, None] * k).max()))
 
 
 # (FSwap-only, iSWAP-only, mixed) layers of the N < 5 networks; from N = 5

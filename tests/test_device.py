@@ -891,6 +891,17 @@ class TestOptimizeTrace:
         assert len(set(points)) == len(points)
         assert points[0] == (cfg.amp1, cfg.amp2, cfg.wd1, cfg.wd2)
 
+    def test_config_is_the_lowest_infidelity_row(self):
+        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
+                          wd2=84.5 * MHZ, tau_final=10e-9)
+        res = optimize_pulse(SPEC, np.pi, cfg, budget=8,
+                             substeps_per_sample=2, nmax=3)
+        best = min(res.trace, key=lambda row: row[1])
+        assert best[1] < res.trace[0][1]
+        assert (res.config.amp1, res.config.amp2,
+                res.config.wd1, res.config.wd2) == best[3:7]
+        assert res.n_evaluations == len(res.trace)
+
     def test_trace_records_wall_seconds(self):
         cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
                           wd2=84.5 * MHZ, tau_final=10e-9)

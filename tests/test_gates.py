@@ -263,6 +263,42 @@ class TestGateOps:
             Circuit(n_sites=3, layers=(ops,))
 
 
+_PLAIN_SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+
+def _inject_fault(monkeypatch, fault, n):
+    """Make compile_decomposition's N-site network wrong in one gate past its
+    middle: an iSWAP with its angle negated, an FSWAP left out, or an FSWAP
+    that acts as a plain SWAP (no -1 on |11>).  fault=None changes nothing."""
+    if fault == "dropped_fswap":
+        def schedule(n, real=gates._bounce_layers):
+            layers = real(n)
+            layer = next(layer for layer in layers[len(layers) // 2:]
+                         if any(kind == "FSwap" for kind, _ in layer))
+            layer.remove(next(g for g in layer if g[0] == "FSwap"))
+            return [layer for layer in layers if layer]
+
+        monkeypatch.setattr(gates, "_bounce_layers", schedule)
+    elif fault is not None:
+        # the at-th gate of its kind whose matrix is asked for is the faulty
+        # one, from then on: the iSWAP of mirror pair N/4, or an FSWAP past
+        # the middle
+        kind, at = (("ISwapTheta", max(n // 4, 1)) if fault == "negated_iswap"
+                    else ("FSwap", n * n // 4))
+        count, faulty = iter(range(1, at + 1)), []
+
+        def matrix(op, real=GateOp.matrix):
+            if op.kind == kind and not faulty and next(count) == at:
+                faulty.append(op)
+            if faulty and op is faulty[0]:
+                return iswap_matrix(-op.angle) if fault == "negated_iswap" else _PLAIN_SWAP
+            return real(op)
+
+        monkeypatch.setattr(GateOp, "matrix", matrix)
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theta", [0.1 * np.pi, 0.5 * np.pi, np.pi])
@@ -299,8 +335,8 @@ class TestDecomposition:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("theta", [0.1 * np.pi, 0.5 * np.pi, np.pi])
     def test_z_layer_equivalence(self, n, theta):
-        # compiling checks the circuit on states; the dense unitary is the
-        # reference
+        # compiling checks the circuit's single-particle matrix; the dense
+        # unitary is the reference
         circuit = compile_decomposition(n, theta, 1.0)
         ok, err = z_layer_equivalent(circuit.unitary(), effective_gate(n, theta))
         assert ok, err
@@ -317,28 +353,65 @@ class TestDecomposition:
         with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
             compile_decomposition(n, 0.3 * np.pi, 1.0)
 
-    @pytest.mark.parametrize("n,checked", [(12, True), (13, False)])
-    def test_default_verification_limit(self, monkeypatch, n, checked):
-        sizes = []
+    @pytest.mark.parametrize("n", [40, 1000])
+    @pytest.mark.parametrize("fault", ["negated_iswap", "dropped_fswap", "plain_swap"])
+    def test_one_faulty_gate_is_caught(self, monkeypatch, n, fault):
+        _inject_fault(monkeypatch, fault, n)
+        with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
+            compile_decomposition(n, 0.3 * np.pi, 1.0)
 
-        def spy(circuit, theta, real=gates._z_layer_residual):
-            sizes.append(circuit.n_sites)
-            return real(circuit, theta)
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("fault", [None, "negated_iswap", "dropped_fswap", "plain_swap"])
+    def test_check_agrees_with_dense_unitary(self, monkeypatch, n, fault):
+        theta = 0.3 * np.pi
+        _inject_fault(monkeypatch, fault, n)
+        circuit = compile_decomposition(n, theta, 1.0, verify=False)
+        passes = gates._single_particle_residual(circuit, theta) <= 1e-8
+        assert passes == z_layer_equivalent(circuit.unitary(), effective_gate(n, theta))[0]
+        assert passes == (fault is None)
 
-        monkeypatch.setattr(gates, "_z_layer_residual", spy)
-        compile_decomposition(n, 0.7, 1.0)
-        assert sizes == ([n] if checked else [])
+    def test_twenty_sites_checked_in_little_memory(self, monkeypatch):
+        # the check holds N x N matrices, not 2^N states
+        checked = []
 
-    def test_forced_verification_refused_before_allocation(self):
-        # N = 20 would need a 2^20 x 23 block of states (limit 2^24 entries)
+        def spy(circuit, theta, real=gates._single_particle_residual):
+            checked.append(real(circuit, theta))
+            return checked[-1]
+
+        monkeypatch.setattr(gates, "_single_particle_residual", spy)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="limit"):
-                compile_decomposition(20, 0.5, 1.0, verify=True)
+            compile_decomposition(20, 0.5, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(checked) == 1 and checked[0] <= 1e-8
         assert peak < 2**20
+
+    def test_largest_network_is_built_and_checked(self, monkeypatch):
+        checked = []
+
+        def spy(circuit, theta, real=gates._single_particle_residual):
+            checked.append(circuit.n_sites)
+            return real(circuit, theta)
+
+        monkeypatch.setattr(gates, "_single_particle_residual", spy)
+        circuit = compile_decomposition(1024, 0.7, 1.0)
+        assert checked == [1024]
+        assert sum(circuit.gate_counts().values()) == 1024**2 // 2 - 512
+        with pytest.raises(ValueError, match="limit"):
+            compile_decomposition(1025, 0.7, 1.0)
+
+    def test_schedule_layout(self):
+        # the mirror image of each network (hole before the middle site) is
+        # just as valid, so only this pins the layout circuit.json holds
+        f, i = "FSwap", "ISwapTheta"
+        assert gates._bounce_layers(3) == [[(f, 0)], [(i, 1)], [(f, 0)]]
+        assert gates._bounce_layers(4) == [[(f, 0), (f, 2)], [(i, 1)]] * 2
+        assert gates._bounce_layers(5) == [
+            [(f, 0), (f, 3)], [(f, 2)], [(i, 1), (f, 3)],
+            [(f, 0), (f, 2)], [(i, 1), (f, 3)], [(f, 2)],
+        ]
 
     def test_closed_form_duration_matches_schedule(self):
         # |theta| > pi makes the iSWAP the longer gate of a mixed layer
