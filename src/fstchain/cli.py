@@ -204,7 +204,7 @@ def cmd_decompose(args, out: Path):
     except RuntimeError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
     out.mkdir(parents=True, exist_ok=True)
-    (out / "circuit.json").write_text(circuit.to_json() + "\n")
+    circuit.write_json(out / "circuit.json")
     counts = circuit.gate_counts()
     return {"n_sites": args.n, "theta": theta, "j_max": j_max}, {
         "fswap_count": counts.get("FSwap", 0),

@@ -13,11 +13,11 @@ zero-flux values this module stores).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import erf, jv
 
 from . import gates
 
@@ -209,43 +209,58 @@ def flux_to_frequency(spec: DeviceSpec, coupler: int, phi) -> float:
     return alpha + (w0 - alpha) * _flux_factor(phi, d)
 
 
-def _mode_op(op: np.ndarray, mode: int) -> np.ndarray:
-    """``op`` on one mode, the identity on the modes before and after it."""
-    before, after = _LEVELS**mode, _LEVELS ** (_MODES - 1 - mode)
-    return np.kron(np.kron(np.eye(before), op), np.eye(after))
+def _diagonal(a) -> np.ndarray:
+    """Writable strided view of the diagonal of a square C-contiguous a."""
+    return a.reshape(-1)[:: len(a) + 1]
+
+
+# the (b^dag - b)(b^dag - b) couplings of the static Hamiltonian: the
+# DeviceSpec field of each strength and the two modes it couples
+_COUPLINGS = (
+    ("g1c1", _Q1, _C1), ("g2c1", _Q2, _C1), ("g2c2", _Q2, _C2),
+    ("g3c2", _Q3, _C2), ("g12", _Q1, _Q2), ("g23", _Q2, _Q3),
+)
+
+
+def _static_hamiltonian(spec: DeviceSpec, occ: np.ndarray) -> np.ndarray:
+    """Everything except the (time-dependent) coupler frequency terms,
+    from the occupations ``occ`` (modes x states) of the basis states.
+
+    The diagonal is w n + (alpha/2) n (n - 1) over the modes; a coupling
+    -g (b^dag - b)_p (b^dag - b)_q moves one boson on each of p and q, with
+    amplitude +sqrt(n + 1) for a raise and -sqrt(n) for a lowering, so it
+    fills four shifted diagonals of the basis index."""
+    num = occ.astype(float)
+    duff = num * (num - 1)
+    h = np.zeros((_DIM, _DIM))
+    _diagonal(h)[:] = (
+        spec.w1 * num[_Q1] + spec.w2 * num[_Q2] + spec.w3 * num[_Q3]
+        + spec.a1 / 2 * duff[_Q1] + spec.a2 / 2 * duff[_Q2] + spec.a3 / 2 * duff[_Q3]
+        + spec.ac1 / 2 * duff[_C1] + spec.ac2 / 2 * duff[_C2]
+    )
+    stride = _LEVELS ** np.arange(_MODES - 1, -1, -1)
+    b = np.diag(np.sqrt(np.arange(1.0, _LEVELS)), 1)
+    x = b.T - b  # x[n', n] = <n'| b^dag - b |n>
+    for name, p, q in _COUPLINGS:
+        g = getattr(spec, name)
+        for dp, dq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            to_p, to_q = occ[p] + dp, occ[q] + dq
+            j = np.flatnonzero((to_p >= 0) & (to_p < _LEVELS) & (to_q >= 0) & (to_q < _LEVELS))
+            i = j + dp * stride[p] + dq * stride[q]
+            h[i, j] = -(g * x[to_p[j], occ[p, j]]) * x[to_q[j], occ[q, j]]
+    return h
 
 
 class _Operators:
-    """Cached embedded operators and the static part of the Hamiltonian."""
+    """The static part of the Hamiltonian, the coupler occupations and the
+    cached blocks and dressed bases built from them."""
 
     def __init__(self, spec: DeviceSpec):
-        b = np.diag(np.sqrt(np.arange(1, _LEVELS)), 1)
-        num = b.T @ b
-        duff = b.T @ b.T @ b @ b
-        x = b.T - b  # (b^dag - b)
-        n_ops = [_mode_op(num, m) for m in range(_MODES)]
-        d_ops = [_mode_op(duff, m) for m in range(_MODES)]
-        x_ops = [_mode_op(x, m) for m in range(_MODES)]
-        self.n_c1 = n_ops[_C1]
-        self.n_c2 = n_ops[_C2]
-        # everything except the (time-dependent) coupler frequency terms
-        self.h_static = (
-            spec.w1 * n_ops[_Q1]
-            + spec.w2 * n_ops[_Q2]
-            + spec.w3 * n_ops[_Q3]
-            + spec.a1 / 2 * d_ops[_Q1]
-            + spec.a2 / 2 * d_ops[_Q2]
-            + spec.a3 / 2 * d_ops[_Q3]
-            + spec.ac1 / 2 * d_ops[_C1]
-            + spec.ac2 / 2 * d_ops[_C2]
-            - spec.g1c1 * x_ops[_Q1] @ x_ops[_C1]
-            - spec.g2c1 * x_ops[_Q2] @ x_ops[_C1]
-            - spec.g2c2 * x_ops[_Q2] @ x_ops[_C2]
-            - spec.g3c2 * x_ops[_Q3] @ x_ops[_C2]
-            - spec.g12 * x_ops[_Q1] @ x_ops[_Q2]
-            - spec.g23 * x_ops[_Q2] @ x_ops[_Q3]
-        )
         occ = np.indices((_LEVELS,) * _MODES).reshape(_MODES, -1)
+        self.h_static = _static_hamiltonian(spec, occ)
+        # diagonals of the coupler number operators
+        self.n_c1 = occ[_C1].astype(float)
+        self.n_c2 = occ[_C2].astype(float)
         self.total_occupation = occ.sum(axis=0)
         # every coupling is (b^dag - b)(b^dag - b) and the coupler terms are
         # diagonal, so H(t) never mixes even and odd total occupation;
@@ -279,8 +294,8 @@ class _Operators:
                 blocks.append((
                     rows,
                     self.h_static[np.ix_(idx, idx)],
-                    np.diag(self.n_c1)[idx],
-                    np.diag(self.n_c2)[idx],
+                    self.n_c1[idx],
+                    self.n_c2[idx],
                 ))
             self._blocks[nmax] = tuple(blocks)
         return self._blocks[nmax]
@@ -300,22 +315,31 @@ def _operators(spec: DeviceSpec) -> _Operators:
 def build_hamiltonian(spec: DeviceSpec, phi_c1: float, phi_c2: float) -> np.ndarray:
     """Full 243-dim Hamiltonian at fixed coupler fluxes."""
     ops = _operators(spec)
-    return (
-        ops.h_static
-        + flux_to_frequency(spec, 1, phi_c1) * ops.n_c1
-        + flux_to_frequency(spec, 2, phi_c2) * ops.n_c2
-    )
+    h = ops.h_static.copy()
+    diag = _diagonal(h)
+    diag += flux_to_frequency(spec, 1, phi_c1) * ops.n_c1
+    diag += flux_to_frequency(spec, 2, phi_c2) * ops.n_c2
+    return h
+
+
+def _erf(x):
+    """math.erf of each element of x (a scalar for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)[()]
 
 
 def pulse_envelope(cfg: PulseConfig, t) -> np.ndarray:
     """Flattop-Gaussian envelope A(t)/amp in [0, 1], sampled-and-held at
-    the AWG rate; the carrier is *not* included here."""
+    the AWG rate; the carrier is *not* included here.  It is evaluated
+    once per distinct sample time, as many times t share one sample."""
     ts = np.floor(np.asarray(t, dtype=float) * cfg.sample_rate) / cfg.sample_rate
-    return (
+    samples, inverse = np.unique(ts, return_inverse=True)
+    env = (
         0.25
-        * (1 + erf(ts / cfg.tau_rise - 2))
-        * (1 + erf((cfg.tau_final - ts) / cfg.tau_rise - 2))
+        * (1 + _erf(samples / cfg.tau_rise - 2))
+        * (1 + _erf((cfg.tau_final - samples) / cfg.tau_rise - 2))
     )
+    return env[inverse].reshape(ts.shape)[()]
 
 
 def coupler_flux(spec: DeviceSpec, cfg: PulseConfig, coupler: int, t) -> np.ndarray:
@@ -367,11 +391,6 @@ def propagate(
     return u
 
 
-def _diagonal(a) -> np.ndarray:
-    """Writable strided view of the diagonal of a square C-contiguous a."""
-    return a.reshape(-1)[:: len(a) + 1]
-
-
 def _eigh_stepper(h0, nc1, nc2):
     """Half-step x -> exp(-i dt h) x with h = h0/2 + alpha nc1 + beta nc2,
     by diagonalising h.  h is real, so its eigenvectors v are real, and
@@ -395,13 +414,32 @@ def _eigh_stepper(h0, nc1, nc2):
 _CHEBYSHEV_TAIL = 1e-16
 
 
+def _bessel_j(n: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_{n-1}(x) for x > 0 by Miller's backward recurrence
+    J_{k-1} = (2k / x) J_k - J_{k+1}, started at J_{n+20} = 1, J_{n+21} = 0
+    and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1 (Gautschi, SIAM Rev. 9,
+    24 (1967)).  Past k ~ x each step back grows J by about 2k/x, so
+    starting 20 orders above n leaves a start error far below rounding at
+    k < n whenever n > 1.5 x; a run that nears overflow is scaled down."""
+    top = n + 20
+    j = np.zeros(top + 1)
+    j[top], above = 1.0, 0.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2 * k / x * j[k] - above
+        above = j[k]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+            above *= 1e-250
+    return j[:n] / (j[0] + 2 * j[2::2].sum())
+
+
 def _chebyshev_coefficients(center, radius, dt) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(r dt) exp(-i c dt), k < K, of
     exp(-i h dt) = sum_k ... T_k((h - c) / r), with K the fewest terms
     whose Bessel tail is below _CHEBYSHEV_TAIL."""
     arg = radius * dt
     k = np.arange(int(1.5 * arg) + 40)  # J_k(arg) ~ (e arg / 2k)^k past k ~ arg
-    j = jv(k, arg)
+    j = _bessel_j(k.size, arg)
     tail = 2 * np.cumsum(np.abs(j[::-1]))[::-1]
     n_terms = max(int(np.argmax(tail < _CHEBYSHEV_TAIL)), 2)
     a = 2 * j[:n_terms] * np.array([1, -1j, -1, 1j])[k[:n_terms] % 4]
@@ -576,6 +614,34 @@ def theory_pulse(theta: float, j: float) -> dict:
     return {"delta": 2 * j * (np.pi - theta) / root, "tau": root / j}
 
 
+def _illinois(f, lo, hi, f_lo, f_hi, tol):
+    """A root of f in [lo, hi], where f(lo) = f_lo <= 0 <= f_hi = f(hi):
+    the midpoint of a bracket narrowed to tol by regula falsi.
+
+    When one end is kept twice running, its f is scaled by the Anderson-
+    Bjorck factor 1 - f(x)/f(replaced end), or halved as in the Illinois
+    method when that factor is not positive, so that both ends converge
+    superlinearly (Dowell & Jarratt, BIT 11, 168 (1971); Anderson &
+    Bjorck, BIT 13, 253 (1973)).  Each point stays tol/2 inside the
+    bracket, so each step narrows it by at least that."""
+    kept = 0  # the end kept at the previous step: -1 lo, +1 hi
+    while hi - lo > tol:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + tol / 2), hi - tol / 2)
+        fx = f(x)
+        if fx < 0:
+            if kept > 0:
+                m = 1 - fx / f_lo
+                f_hi *= m if m > 0 else 0.5
+            lo, f_lo, kept = x, fx, 1
+        else:
+            if kept < 0:
+                m = 1 - fx / f_hi
+                f_lo *= m if m > 0 else 0.5
+            hi, f_hi, kept = x, fx, -1
+    return float(0.5 * (lo + hi))
+
+
 def seed_pulse_config(
     spec: DeviceSpec, theta: float, tau_final: float = 212e-9
 ) -> PulseConfig:
@@ -583,10 +649,10 @@ def seed_pulse_config(
     matches J = sqrt((pi - theta/2) theta)/tau_final, drive frequencies at
     the dressed detunings minus the Eq.-S21 shift.
 
-    Each amplitude is bisected to 1e-12 on [1e-6, 0.5 - |Phi_DC| - 1e-3];
-    a gate so long that the smallest amplitude overshoots J, or so short
-    that the largest falls below it, raises ValueError naming the coupler
-    and tau_final."""
+    Each amplitude is solved to a bracket of 1e-12 on [1e-6, 0.5 - |Phi_DC|
+    - 1e-3] by _illinois; a gate so long that the smallest amplitude
+    overshoots J, or so short that the largest falls below it, raises
+    ValueError naming the coupler and tau_final."""
     if not 0.0 < theta <= np.pi:
         raise ValueError("theta must be in (0, pi]")
     if not 0.0 < tau_final < np.inf:
@@ -598,23 +664,18 @@ def seed_pulse_config(
     def solve_amp(coupler):
         f = lambda a: abs(sideband_coupling(spec, coupler, a)) - j
         lo, hi = 1e-6, 0.5 - abs(spec.phi_dc1 if coupler == 1 else spec.phi_dc2) - 1e-3
-        if f(hi) < 0:
+        f_lo, f_hi = f(lo), f(hi)
+        if f_hi < 0:
             raise ValueError(
                 f"no flux amplitude on coupler {coupler} reaches the sideband "
                 f"coupling of a {tau_final:.3g} s gate"
             )
-        if f(lo) > 0:
+        if f_lo > 0:
             raise ValueError(
                 f"the smallest flux amplitude on coupler {coupler}, {lo:g}, already "
                 f"exceeds the sideband coupling of a {tau_final:.3g} s gate"
             )
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _illinois(f, lo, hi, f_lo, f_hi, 1e-12)
 
     return PulseConfig(
         amp1=solve_amp(1),

@@ -140,9 +140,24 @@ class Circuit:
                     raise ValueError("overlapping gates within a layer")
                 seen |= set(t)
 
+    def _durations(self) -> dict:
+        """The duration of each distinct (kind, angle, j_max) in the
+        circuit, one gate_time call each."""
+        durations: dict = {}
+        for layer in self.layers:
+            for g in layer:
+                key = (g.kind, g.angle, g.j_max)
+                if key not in durations:
+                    durations[key] = g.duration
+        return durations
+
+    def _total_duration(self, durations: dict) -> float:
+        return sum(max(durations[g.kind, g.angle, g.j_max] for g in layer)
+                   for layer in self.layers)
+
     @property
     def total_duration(self) -> float:
-        return sum(max(g.duration for g in layer) for layer in self.layers)
+        return self._total_duration(self._durations())
 
     def gate_counts(self) -> dict:
         counts: dict = {}
@@ -164,24 +179,38 @@ class Circuit:
         return self.apply(np.eye(2**self.n_sites, dtype=complex))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_sites": self.n_sites,
-                "total_duration": self.total_duration,
-                "layers": [
-                    [
-                        {
-                            "kind": g.kind,
-                            "targets": list(g.targets),
-                            "angle": g.angle,
-                            "duration": g.duration,
-                        }
-                        for g in layer
-                    ]
-                    for layer in self.layers
-                ],
-            }
-        )
+        return "".join(self._json_chunks())
+
+    def write_json(self, path) -> None:
+        """Write to_json() and a newline to ``path``, one layer at a time."""
+        with open(path, "w") as f:
+            f.writelines(self._json_chunks())
+            f.write("\n")
+
+    def _json_chunks(self):
+        """The text of json.dumps({"n_sites", "total_duration", "layers":
+        [[{"kind", "targets", "angle", "duration"}, ...], ...]}) in pieces,
+        one a layer.  The text around a gate's targets is encoded once for
+        each (kind, angle, j_max); the angle's repr is part of that key, as
+        angles that compare equal (0.0 and -0.0, 1 and 1.0) encode apart."""
+        durations = self._durations()
+        yield '{"n_sites": %s, "total_duration": %s, "layers": [' % (
+            json.dumps(self.n_sites), json.dumps(self._total_duration(durations)))
+        around: dict = {}
+        for i, layer in enumerate(self.layers):
+            gates = []
+            for g in layer:
+                key = (g.kind, g.angle, g.j_max)
+                text_key = key + (repr(g.angle),)
+                if text_key not in around:
+                    around[text_key] = (
+                        '{"kind": %s, "targets": [' % json.dumps(g.kind),
+                        '], "angle": %s, "duration": %s}' % (json.dumps(g.angle),
+                                                             json.dumps(durations[key])))
+                head, tail = around[text_key]
+                gates.append(head + ", ".join(map(str, g.targets)) + tail)
+            yield (", [" if i else "[") + ", ".join(gates) + "]"
+        yield "]}"
 
 
 def apply_local(x: np.ndarray, gate: np.ndarray, site: int) -> np.ndarray:

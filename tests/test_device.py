@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize
+from scipy.special import erf, jv
 
 from fstchain import device, gates
 from fstchain.device import (
@@ -141,6 +143,17 @@ class TestPulseShapes:
         vals = pulse_envelope(self.CFG, base + np.array([0.0, 0.3 * dt, 0.9 * dt]))
         assert np.ptp(vals) == 0.0
 
+    def test_envelope_matches_the_closed_form(self):
+        # nodes at 4 substeps a sample, unsorted, several in each sample
+        dt = 1.0 / (4 * self.CFG.sample_rate)
+        t = np.random.default_rng(2).permutation(dt * (np.arange(960) + 0.2))
+        ts = np.floor(t * self.CFG.sample_rate) / self.CFG.sample_rate
+        want = (0.25 * (1 + erf(ts / self.CFG.tau_rise - 2))
+                * (1 + erf((self.CFG.tau_final - ts) / self.CFG.tau_rise - 2)))
+        got = pulse_envelope(self.CFG, t)
+        assert np.abs(got - want).max() <= 1e-15
+        assert type(pulse_envelope(self.CFG, 50e-9)) is np.float64
+
     def test_zero_amp_flux_is_dc(self):
         cfg = replace(self.CFG, amp1=0.0, amp2=0.0)
         t = np.linspace(0, cfg.tau_final, 7)
@@ -156,6 +169,19 @@ class TestPulseShapes:
         with pytest.raises(ValueError):
             PulseConfig(amp1=0.01, amp2=0.01, wd1=1.0, wd2=1.0,
                         tau_final=5e-9, tau_rise=2e-9)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.3, -2.5, 1e-300, 6.0, np.inf, -np.inf])
+    def test_erf_of_a_scalar_matches_scipy(self, x):
+        got, want = device._erf(x), erf(x)
+        assert type(got) is type(want)
+        assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+    def test_erf_of_an_array_matches_scipy(self):
+        x = np.random.default_rng(5).uniform(-7, 7, size=(300, 4))
+        got, want = device._erf(x), erf(x)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert device._erf(np.array([])).shape == (0,)
 
 
 class TestTheoryPulse:
@@ -269,12 +295,22 @@ class TestSidebandCoupling:
         with pytest.raises(ValueError):
             seed_pulse_config(SPEC, theta, tau_final)
 
-    def test_bisection_matches_brentq(self):
-        # the seed amplitudes are bisected to 1e-12; brentq on the same
-        # bracket is the reference, on a 12 x 12 (theta, tau_final) grid
+    def test_bisection_matches_brentq(self, monkeypatch):
+        # the seed amplitudes are solved to a 1e-12 bracket in at most 12
+        # sideband_coupling calls a coupler; brentq on the same bracket is
+        # the reference, on a 12 x 12 (theta, tau_final) grid
+        calls = []
+
+        def counted(spec, coupler, amp):
+            calls.append(coupler)
+            return sideband_coupling(spec, coupler, amp)
+
+        monkeypatch.setattr(device, "sideband_coupling", counted)
         for theta in np.linspace(0.1, np.pi, 12):
             for tau_final in np.geomspace(30e-9, 3e-6, 12):
+                calls.clear()
                 cfg = seed_pulse_config(SPEC, theta, tau_final)
+                assert 3 <= calls.count(1) <= 12 and 3 <= calls.count(2) <= 12
                 j = np.sqrt((np.pi - theta / 2) * theta) / tau_final
                 for coupler, amp in ((1, cfg.amp1), (2, cfg.amp2)):
                     hi = 0.5 - abs(SPEC.phi_dc1 if coupler == 1 else SPEC.phi_dc2) - 1e-3
@@ -707,43 +743,110 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match=r"\(147, m\) block"):
             propagate(SPEC, self.PULSE, 2, nmax=5, columns=columns)
 
-    def test_mode_op_matches_five_factor_chain(self, monkeypatch):
-        def chain(op, mode):
-            factors = [np.eye(3)] * 5
-            factors[mode] = op
-            out = factors[0]
-            for f in factors[1:]:
-                out = np.kron(out, f)
-            return out
+    def test_static_hamiltonian_matches_five_factor_kronecker(self):
+        assert np.array_equal(device._Operators(SPEC).h_static, _kronecker_h_static(SPEC))
 
-        b = np.diag(np.sqrt([1.0, 2.0]), 1)
-        for op in (b.T @ b, b.T @ b.T @ b @ b, b.T - b):
-            for mode in range(5):
-                assert np.array_equal(device._mode_op(op, mode), chain(op, mode))
-        h_static = device._Operators(SPEC).h_static
-        monkeypatch.setattr(device, "_mode_op", chain)
-        assert np.array_equal(device._Operators(SPEC).h_static, h_static)
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6))
+    def test_static_hamiltonian_matches_kronecker_for_any_couplings(self, couplings):
+        names = ("g1c1", "g2c1", "g2c2", "g3c2", "g12", "g23")
+        spec = replace(SPEC, **{k: g * GHZ for k, g in zip(names, couplings)})
+        assert np.array_equal(device._Operators(spec).h_static, _kronecker_h_static(spec))
+
+    def test_coupler_occupations(self):
+        ops = device._Operators(SPEC)
+        assert np.array_equal(ops.n_c1, np.diag(_five_factor(_NUMBER, 1)))
+        assert np.array_equal(ops.n_c2, np.diag(_five_factor(_NUMBER, 3)))
 
     def test_parity_breaking_term_is_refused(self, monkeypatch):
-        # a single-mode drive (b + b^dag) on q1, folded into its number term
-        num = np.diag([0.0, 1.0, 2.0])
+        # a single-mode drive (b + b^dag) on q1 added to the static part
+        real = device._static_hamiltonian
         drive = np.diag(np.sqrt([1.0, 2.0]), 1)
-        real_mode_op = device._mode_op
 
-        def with_drive(op, mode):
-            if mode == 0 and np.allclose(op, num):
-                op = op + 1e-3 * (drive + drive.T)
-            return real_mode_op(op, mode)
+        def with_drive(spec, occ):
+            return real(spec, occ) + 1e-3 * _five_factor(drive + drive.T, 0)
 
-        monkeypatch.setattr(device, "_mode_op", with_drive)
+        monkeypatch.setattr(device, "_static_hamiltonian", with_drive)
         with pytest.raises(ValueError, match="even and odd"):
             device._Operators(SPEC)
+
+
+# b^dag b and b^dag b^dag b b of one mode, as exact integer diagonals
+_NUMBER = np.diag([0.0, 1.0, 2.0])
+_DUFFING = np.diag([0.0, 0.0, 2.0])
+
+
+def _five_factor(op, mode):
+    """``op`` on one of the five modes as a chain of Kronecker products."""
+    factors = [np.eye(3)] * 5
+    factors[mode] = op
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def _kronecker_h_static(spec):
+    """The static Hamiltonian from dense 243 x 243 mode operators, modes
+    in the order (q1, c1, q2, c2, q3)."""
+    n = [_five_factor(_NUMBER, m) for m in range(5)]
+    d = [_five_factor(_DUFFING, m) for m in range(5)]
+    b = np.diag(np.sqrt([1.0, 2.0]), 1)
+    x = [_five_factor(b.T - b, m) for m in range(5)]
+    q1, c1, q2, c2, q3 = range(5)
+    return (
+        spec.w1 * n[q1] + spec.w2 * n[q2] + spec.w3 * n[q3]
+        + spec.a1 / 2 * d[q1] + spec.a2 / 2 * d[q2] + spec.a3 / 2 * d[q3]
+        + spec.ac1 / 2 * d[c1] + spec.ac2 / 2 * d[c2]
+        - spec.g1c1 * x[q1] @ x[c1] - spec.g2c1 * x[q2] @ x[c1]
+        - spec.g2c2 * x[q2] @ x[c2] - spec.g3c2 * x[q3] @ x[c2]
+        - spec.g12 * x[q1] @ x[q2] - spec.g23 * x[q2] @ x[q3]
+    )
 
 
 # ------------------------------------------------ Chebyshev half-step
 
 
 class TestChebyshevStep:
+    @pytest.mark.parametrize("nmax", [3, 5, None])
+    def test_bessel_coefficients_match_scipy(self, nmax, monkeypatch):
+        # every r dt of a 5 ns pulse at 1..16 substeps a sample: J_k within
+        # 4 ulp of 1 (the scale of J_0 + 2 sum J_2k = 1) of scipy's jv, and
+        # the same number of terms as from scipy's values
+        real = device._chebyshev_coefficients
+        args = set()
+
+        def spy(center, radius, dt):
+            args.add(radius * dt)
+            return real(center, radius, dt)
+
+        monkeypatch.setattr(device, "_chebyshev_coefficients", spy)
+        for substeps in range(1, 17):
+            propagate(SPEC, TestParityBlocks.PULSE, substeps, nmax=nmax,
+                      columns=_unit_columns(nmax)[:, :1])
+        assert len(args) > 16
+        for arg in args:
+            k = np.arange(int(1.5 * arg) + 40)
+            got, want = device._bessel_j(k.size, arg), jv(k, arg)
+            assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+            tail = 2 * np.cumsum(np.abs(want[::-1]))[::-1]
+            terms = max(int(np.argmax(tail < device._CHEBYSHEV_TAIL)), 2)
+            assert real(0.0, arg, 1.0).size == terms
+
+    @pytest.mark.parametrize("arg", [1e-30, 1e-6, 1e-3])
+    def test_bessel_recurrence_of_a_tiny_argument_stays_finite(self, arg):
+        # J_k(x) ~ (x/2)^k / k! falls below the smallest double well before
+        # k = 40, so the backward recurrence is rescaled on its way down;
+        # the reference is the power series to (x/2)^4
+        got = device._bessel_j(40, arg)
+        y = (arg / 2) ** 2
+        want = np.array([(arg / 2) ** k / math.factorial(k)
+                         * (1 - y / (k + 1) + y * y / (2 * (k + 1) * (k + 2)))
+                         for k in range(40)])
+        assert np.isfinite(got).all()
+        big = want > 1e-290
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(1, 90),

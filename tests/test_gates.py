@@ -443,6 +443,33 @@ class TestDecomposition:
         kinds = [g["kind"] for layer in data["layers"] for g in layer]
         assert kinds.count("FSwap") == 4 and kinds.count("ISwapTheta") == 2
 
+    @pytest.mark.parametrize("circuit", [
+        compile_decomposition(8, 0.5 * np.pi, 2 * np.pi * 1e6),
+        compile_decomposition(9, -1.3, 0.7),
+        # single-qubit gates, and iSWAPs of one angle under two j_max
+        Circuit(4, ((GateOp("HalfX", (1,)), GateOp("ISwapTheta", (2, 3), 0.25, 3.0)),
+                    (GateOp("ISwapTheta", (1, 2), np.float64(-2.5), 3.0),
+                     GateOp("ISwapTheta", (3, 4), 0.25, 1.0)),
+                    (GateOp("HalfY", (2,)), GateOp("FSwap", (3, 4), None, 1e-3)))),
+        # angles that compare equal but encode apart
+        Circuit(4, ((GateOp("ISwapTheta", (1, 2), 0.0, 1.0),
+                     GateOp("ISwapTheta", (3, 4), -0.0, 1.0)),
+                    (GateOp("ISwapTheta", (2, 3), 1, 1.0),),
+                    (GateOp("ISwapTheta", (2, 3), 1.0, 1.0),))),
+    ])
+    def test_json_text_is_the_whole_dict_dump(self, circuit, tmp_path):
+        # the layer-by-layer text equals json.dumps of the whole circuit
+        # with every gate's duration from gate_time
+        want = json.dumps({
+            "n_sites": circuit.n_sites,
+            "total_duration": sum(max(g.duration for g in layer) for layer in circuit.layers),
+            "layers": [[{"kind": g.kind, "targets": list(g.targets), "angle": g.angle,
+                         "duration": g.duration} for g in layer] for layer in circuit.layers],
+        })
+        assert circuit.to_json() == want
+        circuit.write_json(tmp_path / "circuit.json")
+        assert (tmp_path / "circuit.json").read_text() == want + "\n"
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             compile_decomposition(2, np.pi, 1.0)
