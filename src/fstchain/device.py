@@ -16,6 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -301,15 +302,11 @@ class _Operators:
         return self._blocks[nmax]
 
 
-_OP_CACHE: dict = {}
-
-
+# a DeviceSpec is frozen and its fields are finite, so it is its own key;
+# at most one device is kept in memory
+@lru_cache(maxsize=1)
 def _operators(spec: DeviceSpec) -> _Operators:
-    # a DeviceSpec is frozen and its fields are finite, so it is its own key
-    if spec not in _OP_CACHE:
-        _OP_CACHE.clear()  # keep at most one device in memory
-        _OP_CACHE[spec] = _Operators(spec)
-    return _OP_CACHE[spec]
+    return _Operators(spec)
 
 
 def build_hamiltonian(spec: DeviceSpec, phi_c1: float, phi_c2: float) -> np.ndarray:
@@ -351,44 +348,6 @@ def coupler_flux(spec: DeviceSpec, cfg: PulseConfig, coupler: int, t) -> np.ndar
 
 
 _CF4_C = np.sqrt(3) / 6  # Gauss nodes at (1/2 -+ sqrt(3)/6) dt
-
-
-def propagate(
-    spec: DeviceSpec,
-    cfg: PulseConfig,
-    substeps_per_sample: int = 8,
-    nmax: int | None = None,
-    check_convergence: bool = False,
-    convergence_tol: float = 1e-6,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Time-ordered propagator of the driven device over [0, tau_final].
-
-    Uses a fourth-order commutator-free Magnus integrator with substeps
-    aligned to the AWG sample grid (the envelope is piecewise constant at
-    that rate).  ``nmax`` truncates to total boson occupation <= nmax (a
-    faster inner-loop space for the optimizer; full space when None).
-    The drive never mixes even and odd total occupation, so the two
-    parity blocks are evolved separately, each on the columns where its
-    rows are not zero.  A block applies each CF4 half-step exp(-i h dt)
-    either through ``eigh`` of h or, when a cost rule finds it cheaper
-    (a few columns on a large block), as a Chebyshev expansion in h
-    truncated at a Bessel tail below 1e-16.
-    ``columns``, a (dim, m) block of working-space vectors, returns
-    U @ columns in place of the whole (dim, dim) propagator.
-
-    With check_convergence=True the integration is repeated at half the
-    substep and the max-norm difference must stay below convergence_tol.
-    """
-    u = _propagate_once(spec, cfg, substeps_per_sample, nmax, columns)
-    if check_convergence:
-        u2 = _propagate_once(spec, cfg, 2 * substeps_per_sample, nmax, columns)
-        err = float(np.abs(u - u2).max())
-        if err > convergence_tol:
-            raise RuntimeError(
-                f"substep-halving convergence failed: {err:.2e} > {convergence_tol:.0e}"
-            )
-    return u
 
 
 def _eigh_stepper(h0, nc1, nc2):
@@ -508,7 +467,28 @@ def _chebyshev_is_cheaper(rows: int, columns: int, terms: int) -> bool:
     return terms * (2.2 + 7.5e-5 * rows**2 * columns) < 30 + 0.092 * rows**2
 
 
-def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
+def propagate(
+    spec: DeviceSpec,
+    cfg: PulseConfig,
+    substeps_per_sample: int = 8,
+    nmax: int | None = None,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """Time-ordered propagator of the driven device over [0, tau_final].
+
+    Uses a fourth-order commutator-free Magnus integrator with substeps
+    aligned to the AWG sample grid (the envelope is piecewise constant at
+    that rate).  ``nmax`` truncates to total boson occupation <= nmax (a
+    faster inner-loop space for the optimizer; full space when None).
+    The drive never mixes even and odd total occupation, so the two
+    parity blocks are evolved separately, each on the columns where its
+    rows are not zero.  A block applies each CF4 half-step exp(-i h dt)
+    either through ``eigh`` of h or, when a cost rule finds it cheaper
+    (a few columns on a large block), as a Chebyshev expansion in h
+    truncated at a Bessel tail below 1e-16.
+    ``columns``, a (dim, m) block of working-space vectors, returns
+    U @ columns in place of the whole (dim, dim) propagator.
+    """
     cfg.validate_flux_branch(spec)
     blocks = _operators(spec).parity_blocks(nmax)
     dim = sum(rows.size for rows, *_ in blocks)
@@ -521,17 +501,20 @@ def _propagate_once(spec, cfg, substeps_per_sample, nmax, columns=None):
     # substeps aligned to the AWG sample grid: the sampled-and-held drive
     # is discontinuous at sample boundaries, and a step straddling one
     # destroys the integrator's order.  A non-integer number of samples in
-    # tau_final leaves a short remainder step inside the last sample.
+    # tau_final leaves a short remainder step inside the last sample.  Every
+    # full step is dt0 exactly, so a block's Chebyshev stepper needs at most
+    # two coefficient sets.
     dt0 = 1.0 / (cfg.sample_rate * substeps_per_sample)
     n_full = int(np.floor(cfg.tau_final / dt0 + 1e-9))
-    edges = dt0 * np.arange(n_full + 1)
-    if cfg.tau_final - edges[-1] > 1e-15 * cfg.tau_final:
-        edges = np.append(edges, cfg.tau_final)
-    widths = np.diff(edges)
+    widths = np.full(n_full, dt0)
+    rest = cfg.tau_final - dt0 * n_full
+    if rest > 1e-15 * cfg.tau_final:
+        widths = np.append(widths, rest)
+    starts = dt0 * np.arange(widths.size)
     a1, a2 = 0.25 - _CF4_C, 0.25 + _CF4_C
 
-    t_nodes1 = edges[:-1] + (0.5 - _CF4_C) * widths
-    t_nodes2 = edges[:-1] + (0.5 + _CF4_C) * widths
+    t_nodes1 = starts + (0.5 - _CF4_C) * widths
+    t_nodes2 = starts + (0.5 + _CF4_C) * widths
     wc1_1 = flux_to_frequency(spec, 1, coupler_flux(spec, cfg, 1, t_nodes1))
     wc1_2 = flux_to_frequency(spec, 1, coupler_flux(spec, cfg, 1, t_nodes2))
     wc2_1 = flux_to_frequency(spec, 2, coupler_flux(spec, cfg, 2, t_nodes1))
@@ -642,6 +625,12 @@ def _illinois(f, lo, hi, f_lo, f_hi, tol):
     return float(0.5 * (lo + hi))
 
 
+def _max_amplitude(spec: DeviceSpec, coupler: int) -> float:
+    """Largest flux amplitude seeded or searched on a coupler: the flux
+    excursion stays 1e-3 Phi_0 inside the bias branch |Phi| < 1/2."""
+    return 0.5 - abs(spec.phi_dc1 if coupler == 1 else spec.phi_dc2) - 1e-3
+
+
 def seed_pulse_config(
     spec: DeviceSpec, theta: float, tau_final: float = 212e-9
 ) -> PulseConfig:
@@ -663,7 +652,7 @@ def seed_pulse_config(
 
     def solve_amp(coupler):
         f = lambda a: abs(sideband_coupling(spec, coupler, a)) - j
-        lo, hi = 1e-6, 0.5 - abs(spec.phi_dc1 if coupler == 1 else spec.phi_dc2) - 1e-3
+        lo, hi = 1e-6, _max_amplitude(spec, coupler)
         f_lo, f_hi = f(lo), f(hi)
         if f_hi < 0:
             raise ValueError(
@@ -885,6 +874,12 @@ class OptimizeResult:
 
 # infidelity at which optimize_pulse stops searching
 _TARGET_INFIDELITY = 1e-3
+# optimize_pulse searches (amp1, amp2, wd1, wd2) in these units, 2^-8 Phi_0
+# and 2^24 rad/s (about 2 pi 2.7 MHz), so that L-BFGS-B's first step, of
+# unit length, is a small change of a pulse whose amplitudes are near
+# 0.05 Phi_0.  Powers of two make x * _SEARCH_UNITS exact, so the first
+# point searched is the initial pulse itself.
+_SEARCH_UNITS = np.array([2.0**-8, 2.0**-8, 2.0**24, 2.0**24])
 
 
 def optimize_pulse(
@@ -897,78 +892,74 @@ def optimize_pulse(
 ) -> OptimizeResult:
     """Optimize {amp1, amp2, wd1, wd2} to minimize the K_3 infidelity.
 
-    The inner loop propagates on the boson-number-truncated space with a
+    The search is L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+    16, 1190 (1995)) with finite-difference gradients, on
+    (amp1, amp2, wd1, wd2) / _SEARCH_UNITS.  Each amplitude is bounded to
+    [0, 0.5 - |Phi_DC| - 1e-3], so every point searched stays on the bias
+    branch; the drive frequencies are free.  An ``initial`` pulse outside
+    that box, or a budget below 1, raises ValueError before any evaluation.
+    The difference step is max(1e-4 |x|, 1e-8) of each parameter in Phi_0
+    and GHz.
+
+    Each evaluation propagates on the boson-number-truncated space with a
     coarse substep (at the default 4 substeps per sample the infidelity
     of the 212 ns theta=pi seed pulse differs from a 32-substep reference
-    by 4.1e-10);
-    the returned metrics are re-evaluated with the optimized parameters.
+    by 4.0e-10).  The result holds the config and metrics of the
+    lowest-infidelity evaluation, so no point is evaluated twice.
     The search stops as soon as the best infidelity falls below
     _TARGET_INFIDELITY or the evaluation budget is exhausted; the result
-    counts as converged below 10 times that.  The search
-    is L-BFGS-B with finite-difference gradients; scipy.optimize is
-    imported here, so that only this search (``fstchain device-optimize``)
-    loads it.
+    counts as converged below 10 times that.  scipy.optimize is imported
+    here, so that only this search (``fstchain device-optimize``) loads it.
     """
     from scipy.optimize import minimize
 
     class _Done(Exception):
         pass
 
-    w_scale = GHZ  # optimizer works in O(0.05) dimensionless coordinates
-    x0 = np.array(
-        [initial.amp1, initial.amp2, initial.wd1 / w_scale, initial.wd2 / w_scale]
-    )
+    if budget < 1:
+        raise ValueError(f"the evaluation budget must be at least 1, got {budget}")
+    top = np.array([_max_amplitude(spec, 1), _max_amplitude(spec, 2)])
+    if initial.amp1 > top[0] or initial.amp2 > top[1]:
+        raise ValueError(
+            f"initial amplitudes ({initial.amp1:g}, {initial.amp2:g}) leave the "
+            f"search box [0, {top[0]:g}] x [0, {top[1]:g}]"
+        )
+    x0 = np.array([initial.amp1, initial.amp2, initial.wd1, initial.wd2])
+    eps = np.maximum(1e-4 * np.abs(x0), [1e-8, 1e-8, 1e-8 * GHZ, 1e-8 * GHZ]) / _SEARCH_UNITS
+    bounds = [(0.0, top[0] / _SEARCH_UNITS[0]), (0.0, top[1] / _SEARCH_UNITS[1]),
+              (None, None), (None, None)]
     trace: list = []
-    best: list = [np.inf, x0]
+    evaluated: list = []  # (metrics, config) of each trace row
     cols = dressed_basis(spec, nmax)
 
     def objective(x):
-        if len(trace) >= budget or best[0] < _TARGET_INFIDELITY:
-            raise _Done
-        if len(trace) == 1 and np.array_equal(x, x0):
-            return trace[0][1]  # L-BFGS-B's first call repeats the pre-check
         t0 = time.perf_counter()
-        cfg = replace(
-            initial, amp1=abs(x[0]), amp2=abs(x[1]),
-            wd1=x[2] * w_scale, wd2=x[3] * w_scale,
-        )
-        try:
-            u = propagate(spec, cfg, substeps_per_sample, nmax=nmax, columns=cols)
-            met = gate_metrics(u, theta, spec, cfg, nmax=nmax)
-            infid = met.infidelity
-            leak = met.leakage
-        except ValueError:
-            infid, leak = 1.0, 1.0
-        trace.append((len(trace), infid, leak, abs(x[0]), abs(x[1]),
-                      x[2] * w_scale, x[3] * w_scale, time.perf_counter() - t0))
-        if infid < best[0]:
-            best[0], best[1] = infid, np.array(x)
-        return infid
+        amp1, amp2, wd1, wd2 = x * _SEARCH_UNITS
+        cfg = replace(initial, amp1=amp1, amp2=amp2, wd1=wd1, wd2=wd2)
+        u = propagate(spec, cfg, substeps_per_sample, nmax=nmax, columns=cols)
+        met = gate_metrics(u, theta, spec, cfg, nmax=nmax)
+        trace.append((len(trace), met.infidelity, met.leakage, amp1, amp2, wd1, wd2,
+                      time.perf_counter() - t0))
+        evaluated.append((met, cfg))
+        if len(trace) >= budget or met.infidelity < _TARGET_INFIDELITY:
+            raise _Done
+        return met.infidelity
 
     try:
-        if objective(x0) > _TARGET_INFIDELITY:
-            eps = np.maximum(1e-4 * np.abs(x0), 1e-8)
-            minimize(
-                objective, x0, method="L-BFGS-B",
-                options={"eps": eps, "maxfun": budget, "ftol": 1e-12,
-                         "gtol": 1e-10},
-            )
+        minimize(
+            objective, x0 / _SEARCH_UNITS, method="L-BFGS-B", bounds=bounds,
+            options={"eps": eps, "maxfun": budget, "ftol": 1e-12, "gtol": 1e-10},
+        )
     except _Done:
         pass
 
-    xb = best[1]
-    final_cfg = replace(
-        initial, amp1=abs(xb[0]), amp2=abs(xb[1]),
-        wd1=xb[2] * w_scale, wd2=xb[3] * w_scale,
-    )
-    u = propagate(spec, final_cfg, substeps_per_sample, nmax=nmax, columns=cols)
-    final_metrics = gate_metrics(u, theta, spec, final_cfg, nmax=nmax)
+    metrics, config = min(evaluated, key=lambda e: e[0].infidelity)
     return OptimizeResult(
-        config=final_cfg,
-        metrics=final_metrics,
+        config=config,
+        metrics=metrics,
         trace=tuple(trace),
         n_evaluations=len(trace),
-        converged=bool(final_metrics.infidelity < _TARGET_INFIDELITY * 10),
+        converged=bool(metrics.infidelity < _TARGET_INFIDELITY * 10),
     )
 
 

@@ -260,9 +260,6 @@ def test_device_properties():
         failures.append(
             f"optimize: infidelity {infid:.2e} in {result.n_evaluations} evals"
         )
-    best = np.inf
-    for entry in result.trace:
-        best = min(best, entry[1])  # best-so-far must be non-increasing
 
     # drive frequencies track the Eq. S21 prediction within 20%
     # (theta=pi predicts delta=0, i.e. wd at the dressed qubit detunings;
@@ -282,10 +279,11 @@ def test_device_properties():
         )
 
     # propagator unitarity + substep-halving convergence at the optimum
-    u = dv.propagate(
-        spec, result.config, substeps_per_sample=8, nmax=5,
-        check_convergence=True, convergence_tol=1e-6,
-    )
+    u = dv.propagate(spec, result.config, substeps_per_sample=8, nmax=5)
+    u16 = dv.propagate(spec, result.config, substeps_per_sample=16, nmax=5)
+    halving = float(np.abs(u - u16).max())
+    if halving > 1e-6:
+        failures.append(f"substep-halving convergence failed: {halving:.2e} > 1e-6")
     unit_err = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if unit_err > 1e-8:
         failures.append(f"unitarity {unit_err:.2e} > 1e-8")
@@ -299,7 +297,7 @@ def test_device_properties():
         f"({result.n_evaluations} evals, leakage {result.metrics.leakage:.2e}), "
         f"AC-Stark shifts ({d1 / dv.MHZ:.2f}, {d2 / dv.MHZ:.2f}) MHz "
         f"({max(rel1, rel2):.1%} of drive vs 20%), "
-        f"unitarity {unit_err:.1e} vs 1e-8 with halving to 1e-6, "
+        f"unitarity {unit_err:.1e} vs 1e-8, halving {halving:.1e} vs 1e-6, "
         f"wall {wall:.0f}s vs 1800s"
         if not failures else "; ".join(failures),
     )

@@ -584,6 +584,7 @@ class TestDeviceBadInput:
         [["--theta", "0"], ["--theta", "-1"], ["--theta", "nan"],
          ["--theta", "pi", "--tau-final", "-1"], ["--theta", "pi", "--tau-final", "0"],
          ["--theta", "pi", "--tau-final", "nan"], ["--theta", "pi", "--tau-final", "1e-12"],
+         ["--theta", "pi", "--budget", "0"],
          # so long that the smallest seed amplitude overshoots the coupling
          ["--theta", "pi", "--tau-final", "1"]],
     )

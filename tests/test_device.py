@@ -381,8 +381,9 @@ class TestPropagate:
         np.testing.assert_array_equal(u, np.eye(u.shape[0]))
 
     def test_unitarity_and_halving(self):
-        u = propagate(SPEC, self.SHORT, substeps_per_sample=8, nmax=5,
-                      check_convergence=True, convergence_tol=1e-6)
+        u = propagate(SPEC, self.SHORT, substeps_per_sample=8, nmax=5)
+        u16 = propagate(SPEC, self.SHORT, substeps_per_sample=16, nmax=5)
+        assert np.abs(u - u16).max() < 1e-6
         dim = u.shape[0]
         assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-8
 
@@ -829,7 +830,8 @@ def _exact_bessel_j(n, x):
 class TestChebyshevStep:
     @pytest.mark.parametrize("nmax", [3, 5, None])
     def test_bessel_coefficients_match_scipy(self, nmax, monkeypatch):
-        # every r dt of a 5 ns pulse at 1..16 substeps a sample: J_k within
+        # every r dt of a 5 ns pulse at 1..16 substeps a sample, on both
+        # parity blocks (one column in each): J_k within
         # 4 ulp of 1 (the scale of J_0 + 2 sum J_2k = 1) of scipy's jv, and
         # the same number of terms as from scipy's values.  Past k = r dt,
         # where J_k falls monotonically, each |J_k| > 1e-300 is also within
@@ -845,7 +847,7 @@ class TestChebyshevStep:
         monkeypatch.setattr(device, "_chebyshev_coefficients", spy)
         for substeps in range(1, 17):
             propagate(SPEC, TestParityBlocks.PULSE, substeps, nmax=nmax,
-                      columns=_unit_columns(nmax)[:, :1])
+                      columns=_unit_columns(nmax)[:, :2])
         assert len(args) > 16
         for arg in args:
             k = np.arange(int(1.5 * arg) + 40)
@@ -895,6 +897,29 @@ class TestChebyshevStep:
             want = (v * np.exp(-1j * w * width)) @ (v.conj().T @ x)
             got = step(al, be, width, x)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+
+    def test_at_most_two_coefficient_sets_a_block(self, monkeypatch):
+        # every full step is the same dt0, so a block needs the coefficients
+        # of the full step and of one remainder step (5.1 ns is 12.24 AWG
+        # samples, so every substep count leaves a remainder)
+        counts = []
+        real_stepper = device._chebyshev_stepper
+        real_coefficients = device._chebyshev_coefficients
+
+        def stepper(*args):
+            counts.append(0)
+            return real_stepper(*args)
+
+        def coefficients(*args):
+            counts[-1] += 1
+            return real_coefficients(*args)
+
+        monkeypatch.setattr(device, "_chebyshev_stepper", stepper)
+        monkeypatch.setattr(device, "_chebyshev_coefficients", coefficients)
+        cfg = replace(TestParityBlocks.PULSE, tau_final=5.1e-9)
+        for substeps in range(1, 17):
+            propagate(SPEC, cfg, substeps, nmax=3, columns=_unit_columns(3))
+        assert counts == [2] * 32
 
     def test_exact_on_a_tight_interval(self):
         # h = 15 sigma_x: its spectrum +-15 is its Gershgorin interval, so
@@ -1004,11 +1029,14 @@ class TestChebyshevStep:
 
 
 class TestOptimizeTrace:
+    CFG = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
+                      wd2=84.5 * MHZ, tau_final=10e-9)
+
     def test_no_point_is_evaluated_twice(self):
-        # L-BFGS-B's first call repeats the pre-check at x0, which is
-        # answered from the pre-check's row
-        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
-                          wd2=84.5 * MHZ, tau_final=10e-9)
+        # the first point searched is the initial pulse itself (the search
+        # units are powers of two), and L-BFGS-B's first iteration reuses
+        # the value computed there
+        cfg = self.CFG
         res = optimize_pulse(SPEC, np.pi, cfg, budget=8,
                              substeps_per_sample=2, nmax=3)
         points = [row[3:7] for row in res.trace]
@@ -1017,19 +1045,56 @@ class TestOptimizeTrace:
         assert points[0] == (cfg.amp1, cfg.amp2, cfg.wd1, cfg.wd2)
 
     def test_config_is_the_lowest_infidelity_row(self):
-        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
-                          wd2=84.5 * MHZ, tau_final=10e-9)
+        cfg = self.CFG
         res = optimize_pulse(SPEC, np.pi, cfg, budget=8,
                              substeps_per_sample=2, nmax=3)
         best = min(res.trace, key=lambda row: row[1])
         assert best[1] < res.trace[0][1]
         assert (res.config.amp1, res.config.amp2,
                 res.config.wd1, res.config.wd2) == best[3:7]
+        assert (res.metrics.infidelity, res.metrics.leakage) == best[1:3]
         assert res.n_evaluations == len(res.trace)
 
+    def test_one_propagation_per_evaluation(self, monkeypatch):
+        calls = []
+        real = device.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(device, "propagate", counting)
+        res = optimize_pulse(SPEC, np.pi, self.CFG, budget=8,
+                             substeps_per_sample=2, nmax=3)
+        assert len(calls) == res.n_evaluations == 8
+        assert [(c.amp1, c.amp2, c.wd1, c.wd2) for c in calls] == [
+            row[3:7] for row in res.trace]
+
+    def test_every_row_lies_in_the_box(self):
+        # amp1 starts on the box's upper edge and amp2 on its lower one, so
+        # a finite-difference step or line search that left the box would
+        # show in the trace
+        top = 0.5 - SPEC.phi_dc1 - 1e-3
+        cfg = replace(self.CFG, amp1=top, amp2=0.0)
+        res = optimize_pulse(SPEC, np.pi, cfg, budget=8,
+                             substeps_per_sample=2, nmax=3)
+        amps = np.array([row[3:5] for row in res.trace])
+        assert len(amps) == 8
+        assert amps.min() >= 0.0 and amps.max() <= top
+        assert (amps[:, 0] == top).any() and (amps[:, 1] == 0.0).any()
+
+    @pytest.mark.parametrize("amps", [(0.2, 0.05), (0.05, 0.25), (0.45, 0.45)])
+    def test_initial_outside_the_box_is_refused(self, monkeypatch, amps):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagate called")
+
+        monkeypatch.setattr(device, "propagate", no_propagation)
+        cfg = replace(self.CFG, amp1=amps[0], amp2=amps[1])
+        with pytest.raises(ValueError, match="search box"):
+            optimize_pulse(SPEC, np.pi, cfg, budget=8, substeps_per_sample=2, nmax=3)
+
     def test_trace_records_wall_seconds(self):
-        cfg = PulseConfig(amp1=0.05, amp2=0.05, wd1=59.5 * MHZ,
-                          wd2=84.5 * MHZ, tau_final=10e-9)
+        cfg = self.CFG
         res = optimize_pulse(SPEC, np.pi, cfg, budget=3,
                              substeps_per_sample=2, nmax=3)
         assert res.n_evaluations == 3
