@@ -56,10 +56,12 @@ def iswap_matrix(angle: float) -> np.ndarray:
     return m
 
 
-# fermionic swap: SWAP with a -1 phase on |11>
+# fermionic swap: SWAP with a -1 phase on |11>; read-only, so GateOp.matrix
+# hands it out without a copy
 FSWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
 )
+FSWAP.setflags(write=False)
 
 _SINGLE_QUBIT_KINDS = frozenset({"HalfX", "HalfY"})
 
@@ -103,7 +105,7 @@ class GateOp:
         if self.kind == "ISwapTheta":
             return iswap_matrix(self.angle)
         if self.kind == "FSwap":
-            return FSWAP.copy()
+            return FSWAP
         if self.kind == "HalfX":
             return _half_rotation(np.array([[0, 1], [1, 0]], dtype=complex))
         if self.kind == "HalfY":

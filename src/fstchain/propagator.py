@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -27,16 +27,14 @@ from .synthesis import DENSE_MATRIX_LIMIT, ChainParams, single_excitation_hamilt
 
 __all__ = [
     "check_dense_size",
-    "SECTOR_TENSOR_LIMIT",
     "STATE_VECTOR_LIMIT",
     "single_propagator",
     "extract_transfer_phase",
     "lift_to_full",
     "sector_indices",
     "sector_propagator",
-    "sector_apply",
+    "network_apply",
     "split_sectors",
-    "evolve_sectors",
     "site_populations",
     "dense_oracle",
     "evolve_state",
@@ -45,12 +43,9 @@ __all__ = [
     "state_from_json",
 ]
 
-# largest antisymmetric tensor sector_apply builds, in complex entries
-# (2^24 entries = 256 MB; one contraction holds two of them)
-SECTOR_TENSOR_LIMIT = 2**24
 # largest dense 2^N state vector basis_state builds, in complex entries
-# (2^24 entries = 256 MB, N <= 24; evolving and writing it takes about
-# 200 bytes an entry)
+# (2^24 entries = 256 MB, N <= 24); evolving a state in every sector peaks
+# at about 145 bytes an entry (network_apply's bond tables), budget 200
 STATE_VECTOR_LIMIT = 2**24
 
 
@@ -116,77 +111,80 @@ def sector_propagator(u: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.det(sub.reshape(m * m, k, k)).reshape(m, m)
 
 
-@lru_cache(maxsize=64)
-def _antisymmetric_layout(n: int, k: int):
-    """Flat positions of the k-excitation subsets in an (n,)*k tensor.
-
-    Returns (scatter, signs, gather): ``scatter[p, i]`` is the position of
-    subset i with its sites in the order of permutation p, ``signs[p]``
-    that permutation's sign, and ``gather`` the sorted positions.
-    """
-    rows = np.array(list(combinations(range(n), k)), dtype=np.int64)
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    perms = np.array(list(permutations(range(k))), dtype=np.int64)
-    # sign of a permutation = parity of its inversion count
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    signs = 1.0 - 2.0 * (inversions % 2)
-    scatter = rows[:, perms].transpose(1, 0, 2) @ place
-    out = (scatter, signs, rows @ place)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _contract_sector(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
-    if k == 0:
-        return amp.astype(complex)
+def _givens_rotations(u: np.ndarray):
+    """u = R_1 ... R_M diag(d) by a Givens QR: for each column c, rows
+    (r-1, r) are rotated from the bottom up by G = [[conj(a), conj(b)],
+    [-b, a]] / |(a, b)|, which zeros u[r, c] and has determinant 1, so every
+    phase is left in d.  Returns the bonds r and the 2x2 blocks of R = G^+
+    in the order they act on a state (R_M first), and d.  A plain-Python
+    loop over u.tolist(): at N ~ 15 it beats a numpy product per rotation."""
     n = u.shape[0]
-    scatter, signs, gather = _antisymmetric_layout(n, k)
-    t = np.zeros(n**k, dtype=complex)
-    t[scatter] = signs[:, None] * amp[None, :]
-    ut = u.T
-    for _ in range(k):
-        # contract u into the leading axis and rotate it to the back
-        t = t.reshape(n, -1).T @ ut
-    return t.reshape(-1)[gather]
+    w = u.tolist()
+    bonds, blocks = [], []
+    for c in range(n):
+        for r in range(n - 1, c, -1):
+            top, bot = w[r - 1], w[r]
+            a, b = top[c], bot[c]
+            if b == 0:
+                continue
+            h = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+            a, b = a / h, b / h
+            ac, bc = a.conjugate(), b.conjugate()
+            for j in range(c, n):
+                x, y = top[j], bot[j]
+                top[j] = ac * x + bc * y
+                bot[j] = a * y - b * x
+            bonds.append(r)
+            blocks.append((a, -bc, b, ac))
+    d = np.array([w[j][j] for j in range(n)], dtype=complex)
+    return bonds[::-1], np.array(blocks[::-1], dtype=complex).reshape(-1, 2, 2), d
 
 
-def sector_apply(u: np.ndarray, k: int, amp: np.ndarray) -> np.ndarray:
-    """``sector_propagator(u, k) @ amp`` without building the m x m lift.
+def _bond_pairs(n: int, live: np.ndarray) -> list:
+    """For each bond (r-1, r), r = 1..N-1, a (2, m) array of positions in
+    live: row 0 the states whose modes r-1, r read 10, row 1 their 01
+    partners.  live is a concatenation of whole sectors in sector_indices
+    order, and moving the particle at r-1 to r moves a subset C(N-1-r, j)
+    places on in lexicographic order, j being the particles past r."""
+    pairs = []
+    for r in range(1, n):
+        lo = 1 << (n - 1 - r)
+        p = np.flatnonzero(live & 3 * lo == 2 * lo)
+        binom = np.array([comb(n - 1 - r, j) for j in range(n)], dtype=np.int64)
+        pairs.append(np.stack((p, p + binom[np.bitwise_count(live[p] & (lo - 1))])))
+    return pairs
 
-    The amplitudes are scattered into an antisymmetric rank-k tensor, u is
-    contracted into each of its axes, and the sorted subsets are read back:
-    sum_pi sgn(pi) prod_j u[S'_j, S_pi(j)] = det u[S', S].  For k > N/2
-    the sector is evolved as its N-k hole sector under conj(u), by Jacobi's
-    complementary-minor identity det u[S', S] = (-1)^(sum S' + sum S)
-    det u conj(det u[S'^c, S^c]), which needs u unitary.  The tensor has
-    N^min(k, N-k) entries; above SECTOR_TENSOR_LIMIT a ValueError is raised
-    before anything is allocated.
+
+def network_apply(u: np.ndarray, sectors: dict) -> dict:
+    """A sector state {k: amplitudes} evolved by the lift of the
+    single-particle matrix u, by a nearest-neighbour Givens network.
+
+    u = R_1 ... R_M diag(d) (_givens_rotations).  d lifts to the phase
+    prod_{j occupied} d_j of each basis state.  A rotation R of the
+    adjacent modes (r-1, r) carries no Jordan-Wigner string, so it lifts to
+    its 2x2 block on the 10 / 01 pairs of that bond and to det R = 1 on 11:
+    one gather, one 2x2 product and one scatter over all occupied sectors.
     """
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError(f"u must be square, got shape {u.shape}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    holes = n - k
-    size = n ** int(min(k, holes))  # Python int: no int64 wrap-around
-    if size > SECTOR_TENSOR_LIMIT:
-        raise ValueError(
-            f"sector N={n}, k={k} needs a tensor of {size} entries "
-            f"(limit {SECTOR_TENSOR_LIMIT})"
-        )
-    amp = np.asarray(amp)
-    m = comb(n, k)
-    if amp.shape != (m,):
-        raise ValueError(f"amplitudes must have shape ({m},), got {amp.shape}")
-    if k <= holes:
-        return _contract_sector(u, k, amp)
-    if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-9:
-        raise ValueError("the particle-hole route for k > N/2 needs a unitary u")
-    # complements of lexicographic k-subsets are reverse-lexicographic
-    sign = np.array([(-1) ** sum(c) for c in combinations(range(n), k)])
-    holes_out = _contract_sector(u.conj(), holes, (sign * amp)[::-1])
-    return np.linalg.det(u) * sign * holes_out[::-1]
+    for k, amp in sectors.items():
+        if np.shape(amp) != (comb(n, k),):
+            raise ValueError(f"sector k={k} amplitudes must have shape "
+                             f"({comb(n, k)},), got {np.shape(amp)}")
+    if not sectors:
+        return {}
+    bonds, blocks, d = _givens_rotations(u)
+    live = np.concatenate([sector_indices(n, k) for k in sectors])
+    amp = np.concatenate(list(sectors.values()), dtype=complex)
+    for j, phase in enumerate(d):
+        amp[live & (1 << (n - 1 - j)) != 0] *= phase
+    pairs = _bond_pairs(n, live)
+    for r, g in zip(bonds, blocks):
+        pq = pairs[r - 1]
+        amp[pq] = g @ amp[pq]
+    ends = np.cumsum([comb(n, k) for k in sectors])
+    return dict(zip(sectors, np.split(amp, ends[:-1])))
 
 
 def split_sectors(psi: np.ndarray) -> dict:
@@ -194,11 +192,6 @@ def split_sectors(psi: np.ndarray) -> dict:
     n = psi.size.bit_length() - 1
     occupied = np.unique(np.bitwise_count(np.flatnonzero(psi)))
     return {int(k): psi[sector_indices(n, int(k))] for k in occupied}
-
-
-def evolve_sectors(u: np.ndarray, sectors: dict) -> dict:
-    """Each sector evolved by the single-particle propagator u."""
-    return {k: sector_apply(u, k, amp) for k, amp in sectors.items()}
 
 
 def site_populations(n_sites: int, sectors: dict) -> np.ndarray:
@@ -283,17 +276,17 @@ def basis_state(n_sites: int, sites) -> np.ndarray:
 def evolve_state(
     psi: np.ndarray, params: ChainParams, t: float, method: str = "sector"
 ) -> np.ndarray:
-    """Evolve a 2^N state vector for time t: each excitation-number sector
-    the state occupies is evolved with sector_apply, at any N whose sectors
-    fit SECTOR_TENSOR_LIMIT.  method must be "sector".  The oracles
-    lift_to_full and dense_oracle build the 2^N x 2^N propagator instead.
+    """Evolve a 2^N state vector for time t: the excitation-number sectors
+    the state occupies are evolved together by network_apply.  method must
+    be "sector".  The oracles lift_to_full and dense_oracle build the
+    2^N x 2^N propagator instead.
     """
     n = params.n_sites
     if psi.shape != (2**n,):
         raise ValueError(f"state dimension {psi.shape} does not match N={n}")
     if method != "sector":
         raise ValueError(f"unknown method {method!r}")
-    sectors = evolve_sectors(single_propagator(params, t), split_sectors(psi))
+    sectors = network_apply(single_propagator(params, t), split_sectors(psi))
     out = np.zeros(psi.shape, dtype=complex)
     for k, amp in sectors.items():
         out[sector_indices(n, k)] = amp

@@ -22,6 +22,7 @@ from fstchain.cli import (
     main,
     parse_angle,
 )
+from fstchain.protocols import Scenario, run_scenario
 
 
 def _result(out_dir):
@@ -281,12 +282,21 @@ class TestEvolve:
         assert peak < 2.5 * 16 * 2**20
         assert sum(_result(out)["result"]["populations"]) == pytest.approx(2.0, abs=1e-12)
 
-    def test_oversized_sector_refused(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path / "o"), "evolve", "--n", "15",
-                     "--theta", "0.5pi", "--tau", "1.0",
-                     "--excite", "1,2,3,4,5,6,7", "--time", "0.5"])
-        assert code == EXIT_VALIDATION
-        assert "limit" in capsys.readouterr().err
+    @pytest.mark.parametrize("n,sites", [
+        (15, (1, 2, 3, 4, 5, 6, 7)),
+        (16, (1, 3, 5, 7, 9, 11, 13, 15)),
+        (20, (1, 5)),
+    ], ids=["n15_k7", "n16_half", "n20_k2"])
+    def test_matches_scenario_populations(self, tmp_path, n, sites):
+        # the Givens network of evolve against run_scenario's one-body
+        # density matrix, an engine that shares no code with it
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "evolve", "--n", str(n), "--theta", "0.5pi",
+                     "--tau", "1", "--excite", ",".join(map(str, sites)), "--time", "0.7"])
+        assert code == EXIT_OK
+        want = run_scenario(Scenario(n, 0.5 * np.pi, sites, t_final=0.7), n_steps=1)
+        got = _result(out)["result"]["populations"]
+        assert np.abs(np.array(got) - want.populations[-1]).max() < 1e-12
 
     def test_oversized_state_refused(self, tmp_path, capsys):
         # 2^40 entries (16 TiB) are refused before anything is allocated

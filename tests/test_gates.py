@@ -222,6 +222,12 @@ class TestGateOps:
             FSWAP, kron(s, s) @ iswap_matrix(-np.pi), atol=1e-12
         )
 
+    def test_fswap_matrix_is_shared_and_read_only(self):
+        m = GateOp("FSwap", (1, 2), None, 1.0).matrix()
+        assert m is FSWAP and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[3, 3] = 1.0
+
     def test_durations(self):
         j = 2.0
         assert GateOp("ISwapTheta", (1, 2), -0.8, j).duration == pytest.approx(

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fstchain.propagator import (
     evolve_state,
     extract_transfer_phase,
     lift_to_full,
+    network_apply,
     sector_indices,
     single_propagator,
     state_from_json,
@@ -240,11 +242,22 @@ class TestDenseOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense oracle used the free-fermion engine")
 
+        blocks = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            blocks.append(len(a))
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(propagator, "single_propagator", refuse)
         monkeypatch.setattr(propagator, "sector_propagator", refuse)
+        monkeypatch.setattr(propagator, "network_apply", refuse)
         monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         params = _params(6, 0.8)
         u = dense_oracle(params, 0.9)
+        # one eigh of each excitation-number block
+        assert blocks == [comb(6, k) for k in range(7)]
         np.testing.assert_allclose(u, _kron_oracle(params, 0.9), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -275,7 +288,9 @@ class TestDenseOracle:
         params = ChainParams(couplings=np.ones(11), detunings=np.zeros(12), tau=1.0)
         u = dense_oracle(params, 0.3)
         assert u.shape == (4096, 4096)
-        psi = basis_state(12, [1, 5])
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        psi /= np.linalg.norm(psi)
         np.testing.assert_allclose(
             u @ psi, evolve_state(psi, params, 0.3, method="sector"), rtol=0, atol=1e-12
         )
@@ -343,8 +358,54 @@ class TestEvolveState:
             evolve_state(basis_state(3, [1]), _params(3, np.pi), 0.5, method=method)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match N=4"):
             evolve_state(np.ones(8), _params(4, 1.0), 0.5)
+
+    def test_generic_twenty_site_state_within_budget(self):
+        # every sector occupied: the bond tables of the Givens network cost
+        # most; STATE_VECTOR_LIMIT budgets 200 traced bytes an entry
+        n = 20
+        rng = np.random.default_rng(20)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        tracemalloc.start()
+        try:
+            out = evolve_state(psi, _params(n, 0.5 * np.pi), 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**n
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    def test_zero_state_stays_zero(self):
+        out = evolve_state(np.zeros(32, dtype=complex), _params(5, 1.0), 0.9)
+        assert out.shape == (32,) and not out.any()
+        assert network_apply(np.eye(5), {}) == {}
+
+    def test_time_zero_is_identity(self):
+        rng = np.random.default_rng(6)
+        psi = rng.normal(size=2**9) + 1j * rng.normal(size=2**9)
+        psi /= np.linalg.norm(psi)
+        assert np.abs(evolve_state(psi, _params(9, 0.8), 0.0) - psi).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_empty_and_full_sectors_take_only_the_phase(self, n):
+        # the vacuum holds no particle, and k = N fills every mode: neither
+        # has a 10 / 01 pair, so only the diagonal's phases act, det u in all
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u = np.linalg.qr(z)[0]
+        out = network_apply(u, {0: np.array([0.6]), n: np.array([0.8j])})
+        assert out[0] == 0.6
+        assert abs(out[n][0] - 0.8j * np.linalg.det(u)) < 1e-15
+
+
+def test_basis_state_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(propagator, "STATE_VECTOR_LIMIT", 2**10)
+    psi = basis_state(10, [10])
+    assert psi.shape == (2**10,) and psi[1] == 1.0
+    with pytest.raises(ValueError, match="limit"):
+        basis_state(11, [1])
 
 
 def test_sector_indices_order_matches_subsets():

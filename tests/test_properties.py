@@ -1,5 +1,5 @@
-"""Property tests: the tensor-contraction sector engine against the
-determinant lift, the sector state of a chain against its 2^N vector,
+"""Property tests: the Givens-network sector engine against the determinant
+lift and the dense oracle, the sector state of a chain against its 2^N vector,
 run_scenario against a dense state-vector reference, and the parity
 protocol's linearity."""
 
@@ -13,18 +13,17 @@ from hypothesis import strategies as st
 from fstchain import gates, propagator
 from fstchain.cli import main
 from fstchain.propagator import (
-    SECTOR_TENSOR_LIMIT,
     basis_state,
     dense_oracle,
     evolve_state,
-    sector_apply,
+    network_apply,
     sector_indices,
     sector_propagator,
     site_populations,
     split_sectors,
 )
 from fstchain.protocols import Scenario, parity_measure, run_scenario
-from fstchain.synthesis import ChainSpec, synthesize
+from fstchain.synthesis import ChainParams, ChainSpec, synthesize
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -47,12 +46,16 @@ def sectors(draw, max_sites=9):
     return _unitary(n, rng), k, amp
 
 
+def _one_sector(u, k, amp):
+    return network_apply(u, {k: amp})[k]
+
+
 @SETTINGS
 @given(sectors())
 def test_sector_apply_matches_determinant_lift(case):
     u, k, amp = case
     want = sector_propagator(u, k) @ amp
-    assert np.abs(sector_apply(u, k, amp) - want).max() < 1e-12
+    assert np.abs(_one_sector(u, k, amp) - want).max() < 1e-12
 
 
 @SETTINGS
@@ -60,7 +63,7 @@ def test_sector_apply_matches_determinant_lift(case):
 def test_sector_apply_preserves_norm(case):
     u, k, amp = case
     norm = np.linalg.norm(amp)
-    assert abs(np.linalg.norm(sector_apply(u, k, amp)) - norm) < 1e-12 * norm
+    assert abs(np.linalg.norm(_one_sector(u, k, amp)) - norm) < 1e-12 * norm
 
 
 @SETTINGS
@@ -68,8 +71,8 @@ def test_sector_apply_preserves_norm(case):
 def test_sector_apply_composes(case, seed):
     u2, k, amp = case
     u1 = _unitary(u2.shape[0], np.random.default_rng(seed))
-    once = sector_apply(u1 @ u2, k, amp)
-    twice = sector_apply(u1, k, sector_apply(u2, k, amp))
+    once = _one_sector(u1 @ u2, k, amp)
+    twice = _one_sector(u1, k, _one_sector(u2, k, amp))
     assert np.abs(once - twice).max() < 1e-12
 
 
@@ -111,6 +114,17 @@ def test_site_populations_match_dense_masks(case):
 
 
 @SETTINGS
+@given(sector_states(), st.sampled_from([0.0, 0.7, 3.1]), st.integers(0, 2**32 - 1))
+def test_evolve_state_matches_dense_oracle(case, t, seed):
+    # a random chain, not mirror symmetric
+    n, psi = case
+    rng = np.random.default_rng(seed)
+    params = ChainParams(rng.normal(size=n - 1), rng.normal(size=n), 1.0)
+    want = dense_oracle(params, t) @ psi
+    assert np.abs(evolve_state(psi, params, t) - want).max() < 1e-12
+
+
+@SETTINGS
 @given(st.integers(0, 10), st.data())
 def test_sector_indices_are_weight_k_indices_descending(n, data):
     k = data.draw(st.integers(0, n + 1))
@@ -128,24 +142,9 @@ def test_sector_indices_refuse_int64_overflow():
         sector_indices(64, 1)
 
 
-def test_sector_apply_refuses_oversized_tensor():
-    n, k = 15, 7
-    assert n**k > SECTOR_TENSOR_LIMIT
-    with pytest.raises(ValueError, match="limit"):
-        sector_apply(np.eye(n, dtype=complex), k, np.zeros(comb(n, k)))
-    # 100^50 wraps around in int64; the check must not
-    with pytest.raises(ValueError, match="limit"):
-        sector_apply(np.eye(100), np.int64(50), np.zeros(1))
-
-
-def test_sector_apply_particle_hole_needs_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        sector_apply(2 * np.eye(4, dtype=complex), 3, np.ones(4))
-
-
 def test_sector_apply_rejects_wrong_amplitude_shape():
     with pytest.raises(ValueError, match="shape"):
-        sector_apply(np.eye(5, dtype=complex), 2, np.ones(9))
+        _one_sector(np.eye(5, dtype=complex), 2, np.ones(9))
 
 
 def test_basis_state_rejects_duplicate_sites():

@@ -320,22 +320,25 @@ class TestScenarioAgainstPerSample:
 
     def test_one_eigh_and_no_sector_apply(self, monkeypatch):
         eighs, applied = [], []
-        eigh, sector_apply = np.linalg.eigh, propagator.sector_apply
+        eigh, network_apply = np.linalg.eigh, propagator.network_apply
 
         def counting_eigh(a, *args, **kwargs):
             eighs.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        def counting_apply(u, k, amp):
-            applied.append(k)
-            return sector_apply(u, k, amp)
+        def counting_apply(u, sectors):
+            applied.append(list(sectors))
+            return network_apply(u, sectors)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(propagator, "sector_apply", counting_apply)
+        monkeypatch.setattr(propagator, "network_apply", counting_apply)
         events = _flips((0.2, 3), (0.9, 6), (0.9, 6), (1.4, 1))
         run_scenario(Scenario(11, 1.0, (2, 5), events), n_steps=60)
         assert eighs == [(11, 11)]
         assert applied == []
+        # the spy sees evolve_state's call
+        evolve_state(basis_state(11, (2, 5)), synthesize(ChainSpec(11, 1.0, 1.0)), 0.3)
+        assert applied == [[2]]
 
     def test_samples_are_taken_in_chunks(self):
         # 400 sites, past the 63 that bit-indexed sectors allow.  G is a
@@ -392,7 +395,6 @@ class TestScenarioAgainstPerSample:
     @pytest.mark.parametrize("n,excitations,events", [
         # C(40, 20) = 1.4e11 amplitudes; 201 samples in chunks of 40
         (40, tuple(range(1, 41, 2)), ()),
-        # sector_apply refuses the 15^7-entry tensor of this k=7 sector
         (15, (1, 2, 4, 7, 9, 12, 15), _flips((1.5, 8))),
     ], ids=["n40_k20", "n15_k7_flip"])
     def test_large_sectors_run(self, n, excitations, events):
