@@ -445,11 +445,11 @@ def _chebyshev_stepper(h0, nc1, nc2, alphas, betas, widths):
             t = np.empty((n_terms, len(x), 2 * x.shape[1]))
             terms = list(t)
         terms[0].view(complex)[...] = x
-        np.matmul(b, terms[0], out=terms[1])
+        np.dot(b, terms[0], out=terms[1])
         terms[1] *= 0.5
         for k in range(2, a.size):
-            np.matmul(b, terms[k - 1], out=terms[k])
-            terms[k] -= terms[k - 2]
+            np.dot(b, terms[k - 1], out=terms[k])
+            np.subtract(terms[k], terms[k - 2], out=terms[k])
         return (a @ t[: a.size].view(complex).reshape(a.size, -1)).reshape(x.shape)
 
     return step, n_terms

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import (
-    check_dense_size, dense_oracle, extract_transfer_phase, single_propagator,
+    block_propagators, check_dense_size, extract_transfer_phase, single_propagator,
 )
 from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
@@ -273,10 +273,37 @@ def apply_effective_gate(x: np.ndarray, theta: float) -> np.ndarray:
     return _apply_pairs(np.array(x, dtype=complex, order="C"), theta)
 
 
+def _k_entries(n_sites: int, theta: float):
+    """The nonzero entries (rows, cols, values) of K_N, 2^N (3/2)^(N//2)
+    of them: from the identity's, each mirror-pair factor scales the
+    entries on rows reading 10 or 01 on the pair by cos(theta/2) and adds
+    their copies on the partner rows times -i sin(theta/2) parity.  A row
+    and its partner never both hold an entry of one column, so each value
+    is the product _apply_pairs forms on the identity, factor by factor."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    idx = np.arange(2**n_sites)
+    rows, cols, vals = idx, idx, np.ones(2**n_sites, dtype=complex)
+    for rows10, rows01, par in _mirror_pairs(idx):
+        partner, sign = idx.copy(), np.zeros(2**n_sites)
+        partner[rows10], partner[rows01] = rows01, rows10
+        sign[rows10] = sign[rows01] = par
+        hit = np.flatnonzero(sign[rows])
+        swapped = (-1j * s * sign[rows[hit]]) * vals[hit]
+        vals[hit] *= c
+        rows = np.concatenate((rows, partner[rows[hit]]))
+        cols = np.concatenate((cols, cols[hit]))
+        vals = np.concatenate((vals, swapped))
+    return rows, cols, vals
+
+
 def effective_gate(n_sites: int, theta: float) -> np.ndarray:
-    """K_N = exp(-i (theta/2) G_N) as a dense 2^N x 2^N matrix."""
+    """K_N = exp(-i (theta/2) G_N) as a dense 2^N x 2^N matrix: its
+    nonzero entries (_k_entries) scattered into zeros."""
     check_dense_size(n_sites)
-    return _apply_pairs(np.eye(2**n_sites, dtype=complex), theta)
+    rows, cols, vals = _k_entries(n_sites, theta)
+    k = np.zeros((2**n_sites,) * 2, dtype=complex)
+    k[rows, cols] = vals
+    return k
 
 
 @dataclass(frozen=True)
@@ -295,29 +322,47 @@ _MAPPING_TOL = 1e-8
 def verify_mapping(params: ChainParams, theta: float) -> MappingReport:
     """Check Eq.-(7)-style equivalence: the full chain propagator at t=tau,
     corrected by diagonal phases (e^{i phi} per excitation plus e^{i theta/2}
-    on the middle site of odd chains), equals K_N to _MAPPING_TOL.  Chains
-    whose 2^N x 2^N matrices exceed DENSE_MATRIX_LIMIT are refused before
-    any is built."""
+    on the middle site of odd chains), equals K_N to _MAPPING_TOL.
+
+    Both conserve excitation number, so each number block of
+    block_propagators is checked against K_N's entries of its weight, and
+    no 2^N x 2^N matrix is built.  distance is the largest entry of the
+    difference; worst_element, when the check fails, its first (row,
+    column) in row-major order.  Chains above block_propagators' size
+    limit (N <= 12) are refused before any block is built."""
     n = params.n_sites
-    check_dense_size(n)
-    u1 = single_propagator(params, params.tau)
-    phi = extract_transfer_phase(u1, theta)
+    blocks = block_propagators(params, params.tau)
+    phi = extract_transfer_phase(single_propagator(params, params.tau), theta)
     idx = np.arange(2**n)
-    weight = np.bitwise_count(idx).astype(float)
-    phase = phi * weight
+    phase = phi * np.bitwise_count(idx).astype(float)
     if n % 2 == 1:
         mid_bit = (idx >> (n - (n + 1) // 2)) & 1
         phase = phase + (theta / 2) * mid_bit
-    d = dense_oracle(params, params.tau)
-    d *= np.exp(1j * phase)[np.newaxis, :]
-    d -= effective_gate(n, theta)
-    diff = np.abs(d)
-    distance = float(diff.max())
-    worst = tuple(int(v) for v in np.unravel_index(diff.argmax(), diff.shape))
+    col_phase = np.exp(1j * phase)
+    k_rows, k_cols, k_vals = _k_entries(n, theta)
+    k_weight = np.bitwise_count(k_cols)
+    peaks, where = [], []
+    for rows, d in blocks:
+        # the phases as a whole block, not a broadcast row: on the 1x1
+        # blocks (k = 0, N) numpy takes a broadcast row for a scalar
+        # operand, whose products can differ in the last bit from those of
+        # the vector loop that scales a full matrix's rows
+        d = d * np.tile(col_phase[rows], (len(rows), 1))
+        mine = k_weight == np.bitwise_count(rows[0])
+        d[np.searchsorted(rows, k_rows[mine]), np.searchsorted(rows, k_cols[mine])] -= k_vals[mine]
+        diff = np.abs(d)
+        r, c = divmod(int(diff.argmax()), len(rows))
+        peaks.append(diff[r, c])
+        where.append((int(rows[r]), int(rows[c])))
+    # np.argmax over the blocks' peaks in row-major order of their places:
+    # the first largest (or NaN) entry of the whole difference
+    order = sorted(range(len(where)), key=where.__getitem__)
+    best = order[int(np.argmax(np.array(peaks)[order]))]
+    distance = float(peaks[best])
     ok = distance <= _MAPPING_TOL
     return MappingReport(
         distance=distance, transfer_phase=phi, ok=ok,
-        worst_element=None if ok else worst,
+        worst_element=None if ok else where[best],
     )
 
 

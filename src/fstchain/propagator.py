@@ -36,6 +36,7 @@ __all__ = [
     "network_apply",
     "split_sectors",
     "site_populations",
+    "block_propagators",
     "dense_oracle",
     "evolve_state",
     "basis_state",
@@ -87,12 +88,21 @@ def extract_transfer_phase(u: np.ndarray, theta: float) -> float:
 def sector_indices(n_sites: int, k: int) -> np.ndarray:
     """Basis indices (site 1 = MSB) of all k-excitation bitstrings,
     ordered by their occupation subsets lexicographically, which is
-    descending index order.  Cached; the array is read-only.  Indices
+    descending index order.  Built on int64 arrays by the recurrence
+    S(m, j) = [2^(m-1) | S(m-1, j-1), S(m-1, j)] for the descending
+    weight-j integers below 2^m.  Cached; the array is read-only.  Indices
     must fit in int64, so N <= 63."""
     if n_sites > 63:
         raise ValueError(f"basis indices on N={n_sites} sites overflow int64 (N <= 63)")
-    sites = np.array(list(combinations(range(n_sites), k)), dtype=np.int64)
-    out = (1 << (n_sites - 1 - sites.reshape(comb(n_sites, k), k))).sum(axis=1)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    levels = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * k
+    for m in range(1, n_sites + 1):
+        # descending j, so levels[j - 1] still holds S(m-1, j-1); a weight
+        # below k - (N - m) cannot reach k and is left stale
+        for j in range(k, max(0, k - n_sites + m - 1), -1):
+            levels[j] = np.concatenate(((1 << (m - 1)) | levels[j - 1], levels[j]))
+    out = levels[k]
     out.setflags(write=False)
     return out
 
@@ -237,17 +247,32 @@ def _number_blocks(params: ChainParams):
         yield rows, h
 
 
-def dense_oracle(params: ChainParams, t: float) -> np.ndarray:
-    """exp(-i H t) on the full 2^N space, by diagonalizing each
-    excitation-number block of H.  t must be finite; a negative t evolves
-    backwards."""
+def block_propagators(params: ChainParams, t: float):
+    """An iterator over k = 0..N of the k-excitation basis indices in
+    ascending order and exp(-i H_k t) on them, H_k the number block of H,
+    by one real eigh a block.  t must be finite; a negative t evolves
+    backwards.  Chains whose 2^N x 2^N propagator would exceed
+    DENSE_MATRIX_LIMIT are refused when this is called, before any block
+    is built."""
     check_dense_size(params.n_sites)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+
+    def blocks():
+        for rows, h in _number_blocks(params):
+            evals, evecs = np.linalg.eigh(h)
+            yield rows, (evecs * np.exp(-1j * evals * t)) @ evecs.T
+
+    return blocks()
+
+
+def dense_oracle(params: ChainParams, t: float) -> np.ndarray:
+    """exp(-i H t) on the full 2^N space: the blocks of block_propagators
+    scattered into a 2^N x 2^N matrix."""
+    blocks = block_propagators(params, t)
     u = np.zeros((2**params.n_sites,) * 2, dtype=complex)
-    for rows, block in _number_blocks(params):
-        evals, evecs = np.linalg.eigh(block)
-        u[rows[:, None], rows] = (evecs * np.exp(-1j * evals * t)) @ evecs.T
+    for rows, block in blocks:
+        u[rows[:, None], rows] = block
     return u
 
 

@@ -24,9 +24,11 @@ from fstchain.gates import (
     verify_mapping,
     z_layer_equivalent,
 )
-from fstchain.propagator import basis_state
+from fstchain.propagator import (
+    basis_state, dense_oracle, extract_transfer_phase, single_propagator,
+)
 from fstchain.protocols import parity_measure
-from fstchain.synthesis import ChainSpec, synthesize
+from fstchain.synthesis import ChainParams, ChainSpec, synthesize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -97,6 +99,24 @@ def _kron_unitary(circuit):
         for g in layer:
             u = _kron_embed(g.matrix(), g.targets, circuit.n_sites) @ u
     return u
+
+
+def _dense_mapping(params, theta):
+    """verify_mapping's comparison on the full 2^N x 2^N matrices: the
+    largest entry of dense_oracle times the phase correction minus K_N,
+    its first (row, column) in row-major order, and the transfer phase."""
+    n = params.n_sites
+    phi = extract_transfer_phase(single_propagator(params, params.tau), theta)
+    idx = np.arange(2**n)
+    phase = phi * np.bitwise_count(idx).astype(float)
+    if n % 2 == 1:
+        phase = phase + (theta / 2) * ((idx >> (n - (n + 1) // 2)) & 1)
+    d = dense_oracle(params, params.tau)
+    d *= np.exp(1j * phase)[np.newaxis, :]
+    d -= effective_gate(n, theta)
+    diff = np.abs(d)
+    worst = tuple(int(v) for v in np.unravel_index(diff.argmax(), diff.shape))
+    return float(diff.max()), worst, phi
 
 
 def _random_state(rng, shape):
@@ -207,6 +227,46 @@ class TestVerifyMapping:
         report = verify_mapping(params, 0.7 * np.pi)
         assert not report.ok
         assert report.worst_element is not None
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("fault", ["none", "wrong_theta", "scaled_coupling"])
+    def test_blocks_match_dense_comparison(self, n, fault):
+        theta = 0.6 * np.pi
+        params = synthesize(ChainSpec(n_sites=n, theta=theta, tau=1.0))
+        if fault == "scaled_coupling":
+            couplings = params.couplings.copy()
+            couplings[(n - 1) // 2] *= 1.01
+            params = ChainParams(couplings, params.detunings, params.tau)
+        check = 0.7 * np.pi if fault == "wrong_theta" else theta
+        report = verify_mapping(params, check)
+        distance, worst, phi = _dense_mapping(params, check)
+        assert report.distance == distance
+        assert report.transfer_phase == phi
+        assert report.ok == (fault == "none")
+        assert report.worst_element == (None if report.ok else worst)
+
+    def test_ties_go_to_first_in_row_major_order(self):
+        # uncoupled sites with detunings in multiples of pi/2: the largest
+        # entry, 2.0, is reached exactly in the k = 2 block, first at
+        # (33, 33), and in the k = 4 block at (30, 30), which comes first
+        params = ChainParams(np.zeros(5), np.array([0, -1, -1, 2, -2, -2]) * np.pi / 2, 1.0)
+        report = verify_mapping(params, 0.25 * np.pi)
+        distance, worst, _ = _dense_mapping(params, 0.25 * np.pi)
+        assert (report.distance, report.worst_element) == (distance, worst) == (2.0, (30, 30))
+
+    def test_twelve_sites_traced_peak(self):
+        # the parent built the dense oracle, K_N and their difference
+        # (640 MB traced); the largest number block, C(12, 6) = 924 rows,
+        # holds 14 MB
+        params = synthesize(ChainSpec(n_sites=12, theta=0.6 * np.pi, tau=1.0))
+        tracemalloc.start()
+        try:
+            report = verify_mapping(params, 0.6 * np.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 128 * 2**20
 
 
 class TestGateOps:
@@ -592,6 +652,25 @@ class TestMatrixFreeAgainstDense:
         theta = 0.37 + 0.29 * n
         assert np.abs(effective_gate(n, theta) - _dense_k(n, theta)).max() < 1e-12
         assert np.abs(build_generator(n) - _kron_generator(n)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("theta", [0.0, 0.7 * np.pi, np.pi, 2 * np.pi, -1.3])
+    def test_effective_gate_equals_pair_updates_of_identity(self, n, theta):
+        # the closed-form entries are the same products, bit for bit, as
+        # the state path's in-place pair updates
+        want = gates._apply_pairs(np.eye(2**n, dtype=complex), theta)
+        assert np.array_equal(effective_gate(n, theta), want)
+
+    def test_effective_gate_traced_peak_is_its_output(self):
+        # the parent updated an identity in place (96 MB traced at N = 11)
+        out_bytes = 16 * 4**11
+        tracemalloc.start()
+        try:
+            effective_gate(11, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * out_bytes
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_effective_gate_is_exponential(self, n):

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -412,6 +413,20 @@ def test_sector_indices_order_matches_subsets():
     idx = sector_indices(4, 2)
     # subsets in lexicographic order: {1,2},{1,3},{1,4},{2,3},{2,4},{3,4}
     np.testing.assert_array_equal(idx, [0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011])
+
+
+@pytest.mark.parametrize(
+    "n,ks", [(n, range(n + 2)) for n in range(17)] + [(63, range(3))]
+)
+def test_sector_indices_match_combinations(n, ks):
+    for k in ks:
+        want = [sum(1 << (n - 1 - s) for s in sites) for sites in combinations(range(n), k)]
+        assert np.array_equal(sector_indices(n, k), np.array(want, dtype=np.int64))
+
+
+def test_sector_indices_refuse_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        sector_indices(4, -1)
 
 
 def _state_text(psi):

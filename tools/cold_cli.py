@@ -42,8 +42,8 @@ COMMANDS = {
     "speed-sweep": (["--n", "5..40", "--theta", "0.1pi,pi"], 0),
     "parity": (["--basis", "0101"], 0),
     "scenario": (["{scenario}", "--steps", "200"], 0),
-    # one evaluation of the 212 ns seed and the final re-evaluation; a
-    # budget of 1 stops short of the 1e-3 target, hence exit 3
+    # one evaluation of the 212 ns seed, whose metrics the result reports;
+    # a budget of 1 stops short of the 1e-3 target, hence exit 3
     "device-optimize": (["--theta", "pi", "--budget", "1"], 3),
     "device-zz-scan": (["--points", "5"], 0),
 }
