@@ -25,7 +25,6 @@ from .propagator import (
 )
 from .gates import (
     Circuit,
-    GateOp,
     build_generator,
     compile_decomposition,
     effective_gate,

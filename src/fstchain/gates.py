@@ -29,7 +29,6 @@ from .synthesis import ChainParams, ChainSpec, solve_gate_time
 
 __all__ = [
     "DECOMPOSITION_GATE_LIMIT",
-    "GateOp",
     "Circuit",
     "MappingReport",
     "iswap_matrix",
@@ -56,14 +55,11 @@ def iswap_matrix(angle: float) -> np.ndarray:
     return m
 
 
-# fermionic swap: SWAP with a -1 phase on |11>; read-only, so GateOp.matrix
-# hands it out without a copy
+# fermionic swap: SWAP with a -1 phase on |11>; read-only
 FSWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
 )
 FSWAP.setflags(write=False)
-
-_SINGLE_QUBIT_KINDS = frozenset({"HalfX", "HalfY"})
 
 
 def _check_j_max(j_max, angle=None) -> None:
@@ -77,10 +73,7 @@ def _check_j_max(j_max, angle=None) -> None:
 
 def gate_time(kind: str, angle: float | None, j_max: float | None) -> float:
     """Duration of one gate under the paper's two-qubit timing: ISwapTheta
-    takes |angle|/(2 j_max), FSwap takes pi/(2 j_max), single-qubit gates
-    are virtual (zero duration)."""
-    if kind in _SINGLE_QUBIT_KINDS:
-        return 0.0
+    takes |angle|/(2 j_max), FSwap takes pi/(2 j_max)."""
     if kind not in ("ISwapTheta", "FSwap"):
         raise ValueError(f"unknown gate kind {kind!r}")
     _check_j_max(j_max, angle)
@@ -88,92 +81,43 @@ def gate_time(kind: str, angle: float | None, j_max: float | None) -> float:
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """One gate: kind, 1-based target sites, optional angle, and the
-    coupling budget j_max that sets its duration (see gate_time)."""
-
-    kind: str
-    targets: tuple
-    angle: float | None = None
-    j_max: float | None = None
-
-    @property
-    def duration(self) -> float:
-        return gate_time(self.kind, self.angle, self.j_max)
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "ISwapTheta":
-            return iswap_matrix(self.angle)
-        if self.kind == "FSwap":
-            return FSWAP
-        if self.kind == "HalfX":
-            return _half_rotation(np.array([[0, 1], [1, 0]], dtype=complex))
-        if self.kind == "HalfY":
-            return _half_rotation(np.array([[0, -1j], [1j, 0]], dtype=complex))
-        raise ValueError(f"unknown gate kind {self.kind!r}")
-
-
-def _half_rotation(pauli: np.ndarray) -> np.ndarray:
-    # exp(-i (pi/4) P)
-    return np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * pauli
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """Layered circuit; gates within a layer act on disjoint sites, and a
-    two-site gate acts on adjacent sites (p, p+1)."""
+    """A compiled swap network of nearest-neighbour {FSWAP, iSWAP(angle)}
+    gates, every iSWAP of one angle and every gate timed by one j_max.
+
+    Each layer is (bonds, iswap): the ascending 0-based bonds p of its
+    gates, each acting on the 1-based sites p+1, p+2, and the bond of its
+    one iSWAP, or None; every other gate of the layer is an FSWAP.
+    """
 
     n_sites: int
+    angle: float
+    j_max: float
     layers: tuple
 
-    def __post_init__(self):
-        for layer in self.layers:
-            seen = set()
-            for g in layer:
-                t = tuple(g.targets)
-                width = 1 if g.kind in _SINGLE_QUBIT_KINDS else 2
-                p = t[0] if t else 0
-                if t != tuple(range(p, p + width)) or not 1 <= p <= self.n_sites - width + 1:
-                    raise ValueError(
-                        f"{g.kind} on sites {t}: needs {width} adjacent site(s) "
-                        f"in 1..{self.n_sites}"
-                    )
-                if seen & set(t):
-                    raise ValueError("overlapping gates within a layer")
-                seen |= set(t)
-
-    def _durations(self) -> dict:
-        """The duration of each distinct (kind, angle, j_max) in the
-        circuit, one gate_time call each."""
-        durations: dict = {}
-        for layer in self.layers:
-            for g in layer:
-                key = (g.kind, g.angle, g.j_max)
-                if key not in durations:
-                    durations[key] = g.duration
-        return durations
-
-    def _total_duration(self, durations: dict) -> float:
-        return sum(max(durations[g.kind, g.angle, g.j_max] for g in layer)
-                   for layer in self.layers)
+    def _times(self) -> tuple:
+        return (gate_time("FSwap", None, self.j_max),
+                gate_time("ISwapTheta", self.angle, self.j_max))
 
     @property
     def total_duration(self) -> float:
-        return self._total_duration(self._durations())
+        t_fswap, t_iswap = self._times()
+        return sum(t_fswap if iswap is None else
+                   max(t_iswap, t_fswap) if len(bonds) > 1 else t_iswap
+                   for bonds, iswap in self.layers)
 
     def gate_counts(self) -> dict:
-        counts: dict = {}
-        for layer in self.layers:
-            for g in layer:
-                counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
+        n_iswap = sum(iswap is not None for _, iswap in self.layers)
+        return {"FSwap": sum(len(bonds) for bonds, _ in self.layers) - n_iswap,
+                "ISwapTheta": n_iswap}
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The circuit applied to a 2^N vector or to each column of a 2^N x m
         block, gate by gate through apply_local."""
-        for layer in self.layers:
-            for g in layer:
-                x = apply_local(x, g.matrix(), g.targets[0])
+        iswap_gate = iswap_matrix(self.angle)
+        for bonds, iswap in self.layers:
+            for p in bonds:
+                x = apply_local(x, iswap_gate if p == iswap else FSWAP, p + 1)
         return x
 
     def unitary(self) -> np.ndarray:
@@ -192,14 +136,16 @@ class Circuit:
     def _json_chunks(self):
         """The text of json.dumps({"n_sites", "total_duration", "layers":
         [[{"kind", "targets", "angle", "duration"}, ...], ...]}) in pieces,
-        one a layer."""
-        durations = self._durations()
+        one a layer, each gate formatted from its kind's template."""
+        t_fswap, t_iswap = self._times()
+        gate = '{"kind": "%s", "targets": [%%d, %%d], "angle": %s, "duration": %s}'
+        fswap_text = gate % ("FSwap", "null", json.dumps(t_fswap))
+        iswap_text = gate % ("ISwapTheta", json.dumps(self.angle), json.dumps(t_iswap))
         yield '{"n_sites": %s, "total_duration": %s, "layers": [' % (
-            json.dumps(self.n_sites), json.dumps(self._total_duration(durations)))
-        for i, layer in enumerate(self.layers):
-            yield (", " if i else "") + json.dumps(
-                [{"kind": g.kind, "targets": list(g.targets), "angle": g.angle,
-                  "duration": durations[g.kind, g.angle, g.j_max]} for g in layer])
+            json.dumps(self.n_sites), json.dumps(self.total_duration))
+        for i, (bonds, iswap) in enumerate(self.layers):
+            yield (", [" if i else "[") + ", ".join(
+                (iswap_text if p == iswap else fswap_text) % (p + 1, p + 2) for p in bonds) + "]"
         yield "]}"
 
 
@@ -367,8 +313,9 @@ def verify_mapping(params: ChainParams, theta: float) -> MappingReport:
 
 
 # largest swap network compile_decomposition builds, in gates: the network
-# has N(N-1)/2 of them, so N <= 1024 (N = 1000, checked, takes about 2.0 s
-# and peaks at 235 MB RSS on one core of a 2-vCPU x86-64 VM)
+# has N(N-1)/2 of them, so N <= 1024 (`fstchain decompose --n 1000`, checked
+# and written, takes about 0.6 s and peaks at 121 MB RSS on one core of a
+# 2-vCPU x86-64 VM)
 DECOMPOSITION_GATE_LIMIT = 2**19
 
 
@@ -381,22 +328,23 @@ def _bounce_layers(n: int):
     so it holds an iSWAP(-theta); every other pair is an FSWAP.
     A pair touching the hole emits nothing and moves the hole to its other
     slot; slots after the hole sit on physical bond p - 1.  Returns the
-    nonempty layers of ("ISwapTheta"|"FSwap", bond) with 0-based physical
-    bonds.
+    nonempty layers as Circuit holds them: (ascending 0-based physical
+    bonds, the iSWAP's bond or None).
     """
     m = n + n % 2
     hole = (n + 1) // 2 if n % 2 else m  # slot m is never in a pair
     layers = []
     for parity in range(m):
-        layer = []
+        bonds, iswap = [], None
         for p in range(parity % 2, m - 1, 2):
             if hole in (p, p + 1):
                 hole = 2 * p + 1 - hole
             else:
-                layer.append(("ISwapTheta" if p == m // 2 - 1 else "FSwap",
-                              p - 1 if hole < p else p))
-        if layer:
-            layers.append(layer)
+                bonds.append(p - 1 if hole < p else p)
+                if p == m // 2 - 1:
+                    iswap = bonds[-1]
+        if bonds:
+            layers.append((tuple(bonds), iswap))
     return layers
 
 
@@ -421,15 +369,8 @@ def compile_decomposition(
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     _check_j_max(j_max, theta)
-    layers = tuple(
-        tuple(
-            GateOp(kind, (bond + 1, bond + 2),
-                   -theta if kind == "ISwapTheta" else None, j_max)
-            for kind, bond in raw
-        )
-        for raw in _bounce_layers(n_sites)
-    )
-    circuit = Circuit(n_sites=n_sites, layers=layers)
+    circuit = Circuit(n_sites=n_sites, angle=-theta, j_max=j_max,
+                      layers=tuple(_bounce_layers(n_sites)))
     if verify:
         err = _single_particle_residual(circuit, theta)
         if not err <= 1e-8:
@@ -463,33 +404,34 @@ def _z_layer_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _single_particle_residual(circuit: Circuit, theta: float) -> float:
-    """How far a circuit C of two-site gates is from D K_N, D a single-qubit
-    Z layer, judged on N x N single-particle matrices: the larger of the
-    largest entry of C_sp - D K_sp and the largest departure of a gate from
-    a free-fermion gate (|00> fixed, |11> times the determinant of its
-    block on |10>, |01>).  Such a circuit is the lift of C_sp, as K_N is of
-    K_sp (cos(theta/2) on the diagonal, -i sin(theta/2) on the antidiagonal,
-    1 on the middle site of odd N), so C = D K_N on all 2^N states exactly
-    when C_sp = D K_sp.  D is fitted from the phases of the rows' overlaps
-    with K_sp; a block that only exchanges its two sites relabels rows.
+    """How far a swap network C is from D K_N, D a single-qubit Z layer,
+    judged on N x N single-particle matrices: the largest of the largest
+    entry of C_sp - D K_sp, the departure of each gate kind (FSWAP and
+    iSWAP(circuit.angle)) from a free-fermion gate (|00> fixed, |11> times
+    the determinant of its block on |10>, |01>), and that of FSWAP's block
+    from a plain exchange of its two sites, which relabels rows.  Such a
+    circuit is the lift of C_sp, as K_N is of K_sp (cos(theta/2) on the
+    diagonal, -i sin(theta/2) on the antidiagonal, 1 on the middle site of
+    odd N), so C = D K_N on all 2^N states exactly when C_sp = D K_sp.  D is
+    fitted from the phases of the rows' overlaps with K_sp.
     """
     n = circuit.n_sites
+    g = np.array([FSWAP, iswap_matrix(circuit.angle)])
+    block = g[:, 2:0:-1, 2:0:-1]  # on (|10>, |01>): sites p, p+1
+    free = np.zeros_like(g)
+    free[:, 0, 0] = 1.0
+    free[:, 1:3, 1:3] = g[:, 1:3, 1:3]
+    free[:, 3, 3] = block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
+    err = max(np.abs(g - free).max(), np.abs(block[0] - [[0, 1], [1, 0]]).max())
     u = np.eye(n, dtype=complex)
     row = np.arange(n)  # row i of C_sp is u[row[i]]
-    err = 0.0
-    for layer in circuit.layers:
-        g = np.array([op.matrix() for op in layer])
-        block = g[:, 2:0:-1, 2:0:-1]  # on (|10>, |01>): sites p, p+1
-        free = np.zeros_like(g)
-        free[:, 0, 0] = 1.0
-        free[:, 1:3, 1:3] = g[:, 1:3, 1:3]
-        free[:, 3, 3] = block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
-        err = max(err, np.abs(g - free).max())
-        pairs = np.array([op.targets for op in layer]) - 1
-        swap = (block == [[0, 1], [1, 0]]).all(axis=(1, 2))
-        row[pairs[swap]] = row[pairs[swap][:, ::-1]]
-        rows = row[pairs[~swap]]
-        u[rows] = block[~swap] @ u[rows]
+    for bonds, iswap in circuit.layers:
+        p = np.array(bonds)
+        if iswap is not None:
+            rows = row[[iswap, iswap + 1]]
+            u[rows] = block[1] @ u[rows]
+            p = p[p != iswap]
+        row[np.concatenate((p, p + 1))] = row[np.concatenate((p + 1, p))]
     u = u[row]
     k = np.cos(theta / 2) * np.eye(n) - 1j * np.sin(theta / 2) * np.eye(n)[::-1]
     if n % 2:
@@ -506,7 +448,7 @@ _SMALL_NETWORK_LAYERS = {2: (0, 1, 0), 3: (2, 1, 0), 4: (2, 2, 0)}
 
 def decomposition_duration(n_sites: int, theta: float, j_max: float) -> float:
     """total_duration of compile_decomposition, from the network's layer
-    counts: no schedule or GateOp is built.  Needs N >= 2."""
+    counts: no schedule is built.  Needs N >= 2."""
     if n_sites < 2:
         raise ValueError(f"a swap network needs N >= 2 sites, got {n_sites}")
     t_fswap, t_iswap = (gate_time(kind, -theta, j_max) for kind in ("FSwap", "ISwapTheta"))

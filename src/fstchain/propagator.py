@@ -70,18 +70,16 @@ def extract_transfer_phase(u: np.ndarray, theta: float) -> float:
     """Transfer phase phi of an FST propagator at t = tau.
 
     The propagator maps |n> to e^{-i phi}(cos(theta/2)|n> -
-    i sin(theta/2)|N+1-n>); phi is read off the (1,1) element, or off the
-    antidiagonal element when cos(theta/2) vanishes.
+    i sin(theta/2)|N+1-n>) for every site n but the middle one of an odd
+    chain; phi is minus the phase of the overlap of those columns of u with
+    the same columns of K_sp = cos(theta/2) 1 - i sin(theta/2) J.  Any u
+    gets a phi, so a propagator far from the FST form is judged by the
+    checks that use it, not refused here.
     """
     n = u.shape[0]
-    c = np.cos(theta / 2)
-    if abs(c) >= 1e-6:
-        amp = u[0, 0] / c
-    else:
-        amp = 1j * u[n - 1, 0] / np.sin(theta / 2)
-    if abs(amp) < 0.5:
-        raise ValueError("input does not look like an FST propagator at t=tau")
-    return float(-np.angle(amp))
+    k = np.cos(theta / 2) * np.eye(n) - 1j * np.sin(theta / 2) * np.eye(n)[::-1]
+    cols = np.arange(n) != n // 2 if n % 2 else slice(None)
+    return float(-np.angle(np.vdot(k[:, cols], u[:, cols])))
 
 
 @lru_cache(maxsize=64)

@@ -35,6 +35,11 @@ _BASIS_CHANGE = {
     "X": _HADAMARD,
     "Y": _HADAMARD @ _S_DAG,
 }
+# the protocol's X^{pi/2} and Y^{pi/2}: exp(-i (pi/4) P) for P = X, Y
+_HALF_X, _HALF_Y = (
+    np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array(pauli, dtype=complex)
+    for pauli in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]])
+)
 
 
 @dataclass(frozen=True)
@@ -67,13 +72,11 @@ def parity_measure(psi: np.ndarray, j_max: float = 1.0) -> ParityProtocolResult:
     # |0>_L (x) psi (x) |0>_R
     ext = np.zeros(2**m, dtype=complex)
     ext[0 : 2 ** (m - 1) : 2] = psi  # L bit 0 (MSB), R bit 0 (LSB)
-    half_y = gates.GateOp("HalfY", (m,)).matrix()
-    half_x = gates.GateOp("HalfX", (1,)).matrix()
     # K_{N+2}(pi) runs in place on ext, which this function owns, so at
     # most two extended states are alive at once (inside apply_local)
-    ext = gates.apply_local(ext, half_y, m)
+    ext = gates.apply_local(ext, _HALF_Y, m)
     gates._apply_pairs(ext, np.pi)
-    ext = gates.apply_local(ext, half_x, 1)
+    ext = gates.apply_local(ext, _HALF_X, 1)
     # probability that the left ancilla (MSB) reads 1
     p_one = float(np.clip(np.sum(np.abs(ext[2 ** (m - 1) :]) ** 2), 0.0, 1.0))
     duration = (m / 2) * np.pi / (2 * j_max)

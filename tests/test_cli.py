@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -342,6 +343,18 @@ class TestDecomposeAndSweep:
         assert circ["n_sites"] == 6
         j = 2 * np.pi * 1e6
         assert res["total_duration"] == pytest.approx(6 * np.pi / (2 * j))
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--n", "8", "--theta", "0.5pi", "--j-max", "1e6"],
+         "047f67e37ccab309b88c89d3af672b76992d2707d0d6fff7af7cc7899c74e8a8"),
+        (["--n", "9", "--theta", "-2", "--j-max", "0.7"],
+         "bd00743c4ad9a3e8e9568d2c8802df2d62a77bbba89894b1505f569369d12824"),
+    ], ids=["n8", "n9"])
+    def test_decompose_file_format(self, tmp_path, argv, digest):
+        # circuit.json byte for byte: gate order, key order, float text
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "decompose"] + argv) == EXIT_OK
+        assert hashlib.sha256((out / "circuit.json").read_bytes()).hexdigest() == digest
 
     def test_decompose_rejects_n2(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "decompose", "--n", "2",

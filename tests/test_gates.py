@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from fstchain import gates
 from fstchain.gates import (
     FSWAP,
-    Circuit,
-    GateOp,
     apply_effective_gate,
     apply_local,
     build_generator,
@@ -28,7 +26,7 @@ from fstchain.propagator import (
     basis_state, dense_oracle, extract_transfer_phase, single_propagator,
 )
 from fstchain.protocols import parity_measure
-from fstchain.synthesis import ChainParams, ChainSpec, synthesize
+from fstchain.synthesis import ChainParams, ChainSpec, spectrum_check, synthesize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,9 +93,10 @@ def _kron_embed(gate, targets, n):
 
 def _kron_unitary(circuit):
     u = np.eye(2**circuit.n_sites, dtype=complex)
-    for layer in circuit.layers:
-        for g in layer:
-            u = _kron_embed(g.matrix(), g.targets, circuit.n_sites) @ u
+    for bonds, iswap in circuit.layers:
+        for p in bonds:
+            gate = iswap_matrix(circuit.angle) if p == iswap else FSWAP
+            u = _kron_embed(gate, (p + 1, p + 2), circuit.n_sites) @ u
     return u
 
 
@@ -222,6 +221,16 @@ class TestVerifyMapping:
         tol = 1e-10 if n == 2 else 1e-8
         assert report.distance < tol
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_far_theta_is_reported_not_raised(self, n):
+        # a full-transfer chain checked at 1.1 pi: its propagator is far
+        # from the checked FST form, and both checks say so
+        params = synthesize(ChainSpec(n_sites=n, theta=np.pi, tau=1.0))
+        report = verify_mapping(params, 1.1 * np.pi)
+        assert not report.ok and report.distance > 0.1
+        assert report.worst_element is not None
+        assert not spectrum_check(params, 1.1 * np.pi).ok
+
     def test_detects_wrong_theta(self):
         params = synthesize(ChainSpec(n_sites=4, theta=0.5 * np.pi, tau=1.0))
         report = verify_mapping(params, 0.7 * np.pi)
@@ -249,7 +258,7 @@ class TestVerifyMapping:
         # uncoupled sites with detunings in multiples of pi/2: the largest
         # entry, 2.0, is reached exactly in the k = 2 block, first at
         # (33, 33), and in the k = 4 block at (30, 30), which comes first
-        params = ChainParams(np.zeros(5), np.array([0, -1, -1, 2, -2, -2]) * np.pi / 2, 1.0)
+        params = ChainParams(np.zeros(5), np.array([0, 0, -1, -1, 2, 1]) * np.pi / 2, 1.0)
         report = verify_mapping(params, 0.25 * np.pi)
         distance, worst, _ = _dense_mapping(params, 0.25 * np.pi)
         assert (report.distance, report.worst_element) == (distance, worst) == (2.0, (30, 30))
@@ -282,21 +291,15 @@ class TestGateOps:
             FSWAP, kron(s, s) @ iswap_matrix(-np.pi), atol=1e-12
         )
 
-    def test_fswap_matrix_is_shared_and_read_only(self):
-        m = GateOp("FSwap", (1, 2), None, 1.0).matrix()
-        assert m is FSWAP and not m.flags.writeable
+    def test_fswap_matrix_is_read_only(self):
+        assert not FSWAP.flags.writeable
         with pytest.raises(ValueError):
-            m[3, 3] = 1.0
+            FSWAP[3, 3] = 1.0
 
     def test_durations(self):
         j = 2.0
-        assert GateOp("ISwapTheta", (1, 2), -0.8, j).duration == pytest.approx(
-            0.8 / (2 * j)
-        )
-        assert GateOp("FSwap", (1, 2), None, j).duration == pytest.approx(
-            np.pi / (2 * j)
-        )
-        assert GateOp("HalfX", (1,)).duration == 0.0
+        assert gate_time("ISwapTheta", -0.8, j) == pytest.approx(0.8 / (2 * j))
+        assert gate_time("FSwap", None, j) == pytest.approx(np.pi / (2 * j))
 
     @pytest.mark.parametrize("j_max", [0.0, -1.0, np.nan, np.inf, None])
     @pytest.mark.parametrize("kind", ["ISwapTheta", "FSwap"])
@@ -304,29 +307,10 @@ class TestGateOps:
         with pytest.raises(ValueError, match="j_max"):
             gate_time(kind, 0.5, j_max)
 
-    def test_single_qubit_gates_take_no_time(self):
-        assert gate_time("HalfY", None, None) == 0.0
+    @pytest.mark.parametrize("kind", ["HalfY", "Toffoli"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown gate kind"):
-            gate_time("Toffoli", None, 1.0)
-
-    @pytest.mark.parametrize(
-        "gate",
-        [GateOp("HalfX", (0,)), GateOp("HalfX", (4,)),
-         GateOp("FSwap", (3, 4), None, 1.0), GateOp("FSwap", (1, 3), None, 1.0),
-         GateOp("FSwap", (2, 1), None, 1.0), GateOp("FSwap", (1,), None, 1.0),
-         GateOp("HalfY", (1, 2))],
-    )
-    def test_bad_targets_rejected(self, gate):
-        with pytest.raises(ValueError):
-            Circuit(n_sites=3, layers=((gate,),))
-
-    def test_layer_overlap_rejected(self):
-        ops = (
-            GateOp("FSwap", (1, 2), None, 1.0),
-            GateOp("FSwap", (2, 3), None, 1.0),
-        )
-        with pytest.raises(ValueError):
-            Circuit(n_sites=3, layers=(ops,))
+            gate_time(kind, None, 1.0)
 
 
 _PLAIN_SWAP = np.array(
@@ -335,34 +319,38 @@ _PLAIN_SWAP = np.array(
 
 
 def _inject_fault(monkeypatch, fault, n):
-    """Make compile_decomposition's N-site network wrong in one gate past its
-    middle: an iSWAP with its angle negated, an FSWAP left out, or an FSWAP
-    that acts as a plain SWAP (no -1 on |11>).  fault=None changes nothing."""
-    if fault == "dropped_fswap":
+    """Make compile_decomposition's N-site network wrong: one layer past its
+    middle drops an FSWAP, or marks the FSWAP next to its iSWAP as the
+    iSWAP; or every iSWAP has its angle negated, or every FSWAP acts as a
+    plain SWAP (no -1 on |11>).  fault=None changes nothing."""
+    if fault in ("dropped_fswap", "misplaced_iswap"):
         def schedule(n, real=gates._bounce_layers):
             layers = real(n)
-            layer = next(layer for layer in layers[len(layers) // 2:]
-                         if any(kind == "FSwap" for kind, _ in layer))
-            layer.remove(next(g for g in layer if g[0] == "FSwap"))
-            return [layer for layer in layers if layer]
+            for at in range(len(layers) // 2, len(layers)):
+                bonds, iswap = layers[at]
+                if fault == "dropped_fswap" and len(bonds) > (iswap is not None):
+                    drop = next(p for p in bonds if p != iswap)
+                    layers[at] = tuple(p for p in bonds if p != drop), iswap
+                    return [layer for layer in layers if layer[0]]
+                if fault == "misplaced_iswap" and iswap is not None:
+                    for p in (iswap - 2, iswap + 2):
+                        if p in bonds:
+                            layers[at] = bonds, p
+                            return layers
+            raise AssertionError(f"no {fault} on N={n}")
 
         monkeypatch.setattr(gates, "_bounce_layers", schedule)
-    elif fault is not None:
-        # the at-th gate of its kind whose matrix is asked for is the faulty
-        # one, from then on: the iSWAP of mirror pair N/4, or an FSWAP past
-        # the middle
-        kind, at = (("ISwapTheta", max(n // 4, 1)) if fault == "negated_iswap"
-                    else ("FSwap", n * n // 4))
-        count, faulty = iter(range(1, at + 1)), []
+    elif fault == "negated_iswap":
+        monkeypatch.setattr(gates, "iswap_matrix", lambda angle, real=iswap_matrix: real(-angle))
+    elif fault == "plain_swap":
+        monkeypatch.setattr(gates, "FSWAP", _PLAIN_SWAP)
 
-        def matrix(op, real=GateOp.matrix):
-            if op.kind == kind and not faulty and next(count) == at:
-                faulty.append(op)
-            if faulty and op is faulty[0]:
-                return iswap_matrix(-op.angle) if fault == "negated_iswap" else _PLAIN_SWAP
-            return real(op)
 
-        monkeypatch.setattr(GateOp, "matrix", matrix)
+# each fault on each N = 3..10 it can be made on (the N < 5 networks have
+# no two gates in an iSWAP layer)
+_FAULTS = ["negated_iswap", "dropped_fswap", "plain_swap", "misplaced_iswap"]
+_FAULTY_NETWORKS = [(fault, n) for fault in [None] + _FAULTS for n in range(3, 11)
+                    if n >= 5 or fault != "misplaced_iswap"]
 
 
 class TestDecomposition:
@@ -420,15 +408,21 @@ class TestDecomposition:
             compile_decomposition(n, 0.3 * np.pi, 1.0)
 
     @pytest.mark.parametrize("n", [40, 1000])
-    @pytest.mark.parametrize("fault", ["negated_iswap", "dropped_fswap", "plain_swap"])
+    @pytest.mark.parametrize("fault", _FAULTS)
     def test_one_faulty_gate_is_caught(self, monkeypatch, n, fault):
         _inject_fault(monkeypatch, fault, n)
         with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
             compile_decomposition(n, 0.3 * np.pi, 1.0)
 
-    @pytest.mark.parametrize("n", range(3, 11))
-    @pytest.mark.parametrize("fault", [None, "negated_iswap", "dropped_fswap", "plain_swap"])
-    def test_check_agrees_with_dense_unitary(self, monkeypatch, n, fault):
+    def test_residual_tolerance_is_inclusive_and_refuses_nan(self, monkeypatch):
+        monkeypatch.setattr(gates, "_single_particle_residual", lambda circuit, theta: 1e-8)
+        compile_decomposition(5, 0.3 * np.pi, 1.0)
+        monkeypatch.setattr(gates, "_single_particle_residual", lambda circuit, theta: np.nan)
+        with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
+            compile_decomposition(5, 0.3 * np.pi, 1.0)
+
+    @pytest.mark.parametrize("fault,n", _FAULTY_NETWORKS)
+    def test_check_agrees_with_dense_unitary(self, monkeypatch, fault, n):
         theta = 0.3 * np.pi
         _inject_fault(monkeypatch, fault, n)
         circuit = compile_decomposition(n, theta, 1.0, verify=False)
@@ -471,19 +465,29 @@ class TestDecomposition:
     def test_schedule_layout(self):
         # the mirror image of each network (hole before the middle site) is
         # just as valid, so only this pins the layout circuit.json holds
-        f, i = "FSwap", "ISwapTheta"
-        assert gates._bounce_layers(3) == [[(f, 0)], [(i, 1)], [(f, 0)]]
-        assert gates._bounce_layers(4) == [[(f, 0), (f, 2)], [(i, 1)]] * 2
+        assert gates._bounce_layers(3) == [((0,), None), ((1,), 1), ((0,), None)]
+        assert gates._bounce_layers(4) == [((0, 2), None), ((1,), 1)] * 2
         assert gates._bounce_layers(5) == [
-            [(f, 0), (f, 3)], [(f, 2)], [(i, 1), (f, 3)],
-            [(f, 0), (f, 2)], [(i, 1), (f, 3)], [(f, 2)],
+            ((0, 3), None), ((2,), None), ((1, 3), 1),
+            ((0, 2), None), ((1, 3), 1), ((2,), None),
         ]
+
+    def test_layers_are_disjoint_nearest_neighbour_gates(self):
+        # what the per-gate validation of hand-built circuits checked: each
+        # layer's bonds ascend two or more apart inside 0..N-2, and its
+        # iSWAP, if any, is one of them
+        for n in range(3, 41):
+            for bonds, iswap in compile_decomposition(n, 0.3, 1.0, verify=False).layers:
+                assert bonds and 0 <= bonds[0] and bonds[-1] <= n - 2
+                assert all(b - a >= 2 for a, b in zip(bonds, bonds[1:]))
+                assert iswap is None or iswap in bonds
 
     def test_closed_form_duration_matches_schedule(self):
         # |theta| > pi makes the iSWAP the longer gate of a mixed layer
         j_max = 1.3
         for n in [*range(2, 301), 801]:
-            layer_kinds = [{kind for kind, _ in layer} for layer in gates._bounce_layers(n)]
+            layer_kinds = [{"ISwapTheta" if p == iswap else "FSwap" for p in bonds}
+                           for bonds, iswap in gates._bounce_layers(n)]
             for theta in (1e-9, 0.3, np.pi, 4.0, -2.0, -7.0):
                 want = sum(max(gate_time(kind, -theta, j_max) for kind in kinds)
                            for kinds in layer_kinds)
@@ -512,20 +516,23 @@ class TestDecomposition:
     @pytest.mark.parametrize("circuit", [
         compile_decomposition(8, 0.5 * np.pi, 2 * np.pi * 1e6),
         compile_decomposition(9, -1.3, 0.7),
-        # single-qubit gates, and iSWAPs of one angle under two j_max
-        Circuit(4, ((GateOp("HalfX", (1,)), GateOp("ISwapTheta", (2, 3), 0.25, 3.0)),
-                    (GateOp("ISwapTheta", (1, 2), np.float64(-2.5), 3.0),
-                     GateOp("ISwapTheta", (3, 4), 0.25, 1.0)),
-                    (GateOp("HalfY", (2,)), GateOp("FSwap", (3, 4), None, 1e-3)))),
+        # |theta| > pi: the iSWAP outlasts the FSWAPs of its layer
+        compile_decomposition(6, np.float64(4.0), 1e-3),
+        compile_decomposition(7, -2.5, 3.0),
     ])
     def test_json_text_is_the_whole_dict_dump(self, circuit, tmp_path):
         # the layer-by-layer text equals json.dumps of the whole circuit
-        # with every gate's duration from gate_time
+        # rebuilt from its layers, with every gate's duration from gate_time
+        def gate(p, iswap):
+            kind, angle = ("ISwapTheta", circuit.angle) if p == iswap else ("FSwap", None)
+            return {"kind": kind, "targets": [p + 1, p + 2], "angle": angle,
+                    "duration": gate_time(kind, angle, circuit.j_max)}
+
+        layers = [[gate(p, iswap) for p in bonds] for bonds, iswap in circuit.layers]
         want = json.dumps({
             "n_sites": circuit.n_sites,
-            "total_duration": sum(max(g.duration for g in layer) for layer in circuit.layers),
-            "layers": [[{"kind": g.kind, "targets": list(g.targets), "angle": g.angle,
-                         "duration": g.duration} for g in layer] for layer in circuit.layers],
+            "total_duration": sum(max(g["duration"] for g in layer) for layer in layers),
+            "layers": layers,
         })
         assert circuit.to_json() == want
         circuit.write_json(tmp_path / "circuit.json")
@@ -735,27 +742,16 @@ class TestMatrixFreeAgainstDense:
         assert peak <= 2.5 * x.nbytes
 
     @PROPERTY
-    @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
-    def test_circuit_unitary_matches_kron_embedding(self, n, seed):
-        rng = np.random.default_rng(seed)
-        single = ("HalfX", "HalfY")
-        layers = []
-        for _ in range(6):
-            site, layer = 1, []
-            while site <= n:
-                pick = int(rng.integers(3))
-                if pick == 0 and site < n:
-                    kind = "ISwapTheta" if rng.random() < 0.5 else "FSwap"
-                    layer.append(GateOp(kind, (site, site + 1), float(rng.normal()), 1.0))
-                    site += 2
-                else:
-                    if pick == 1:
-                        kind = single[int(rng.integers(2))]
-                        layer.append(GateOp(kind, (site,), float(rng.normal())))
-                    site += 1
-            layers.append(tuple(layer))
-        circuit = Circuit(n_sites=n, layers=tuple(layers))
-        assert np.abs(circuit.unitary() - _kron_unitary(circuit)).max() < 1e-12
+    @given(n=st.integers(3, 8), theta=st.floats(-2 * np.pi, 2 * np.pi),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=5, theta=4.0, seed=0)
+    @example(n=8, theta=-5.0, seed=1)
+    def test_circuit_unitary_matches_kron_embedding(self, n, theta, seed):
+        circuit = compile_decomposition(n, theta, 1.0, verify=False)
+        want = _kron_unitary(circuit)
+        assert np.abs(circuit.unitary() - want).max() < 1e-12
+        x = _random_state(np.random.default_rng(seed), (2**n, 3))
+        assert np.abs(circuit.apply(x) - want @ x).max() < 1e-12
 
     @PROPERTY
     @given(

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstchain import propagator
-from fstchain.gates import Circuit, build_generator, effective_gate, verify_mapping
+from fstchain.gates import (
+    build_generator, compile_decomposition, effective_gate, verify_mapping,
+)
 from fstchain.propagator import (
     basis_state,
     dense_oracle,
@@ -150,9 +152,14 @@ class TestTransferPhase:
         target = np.exp(-1j * phi) * (-1j) * np.eye(9)[::-1]
         np.testing.assert_allclose(u, target, atol=1e-8)
 
-    def test_rejects_non_fst_input(self):
-        with pytest.raises(ValueError):
-            extract_transfer_phase(np.eye(4, dtype=complex), np.pi)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_any_input_gets_the_phase_of_its_overlap(self, n):
+        # no FST form needed: e^{-i a} 1 overlaps K_sp only on its diagonal,
+        # cos(theta/2), which at theta = pi is a rounding-sized 6e-17
+        assert extract_transfer_phase(np.eye(n, dtype=complex), np.pi) == 0.0
+        for theta in (0.5 * np.pi, np.pi):
+            phi = extract_transfer_phase(np.exp(-0.7j) * np.eye(n), theta)
+            assert phi == pytest.approx(0.7, abs=1e-15)
 
 
 class TestLift:
@@ -269,7 +276,7 @@ class TestDenseOracle:
             lambda p: lift_to_full(np.eye(p.n_sites, dtype=complex)),
             lambda p: build_generator(p.n_sites),
             lambda p: effective_gate(p.n_sites, np.pi),
-            lambda p: Circuit(n_sites=p.n_sites, layers=()).unitary(),
+            lambda p: compile_decomposition(p.n_sites, np.pi, 1.0, verify=False).unitary(),
         ],
         ids=["dense_oracle", "verify_mapping", "lift_to_full",
              "build_generator", "effective_gate", "circuit_unitary"],
