@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -105,18 +104,57 @@ def sector_indices(n_sites: int, k: int) -> np.ndarray:
     return out
 
 
-def sector_propagator(u: np.ndarray, k: int) -> np.ndarray:
-    """Determinant lift of the single-particle matrix u to the k-excitation
-    sector: element (S', S) = det(u[S', S])."""
+def _compound_levels(u: np.ndarray, k_max: int):
+    """Yield (indices, C_k(u)) for k = 0..k_max: the weight-k basis indices
+    in sector_indices order and the k-th compound matrix of u, whose entry
+    (I, J) is det(u[I, J]), by Laplace expansion along the first row of
+    each minor,
+
+        C_k[I, J] = sum_p (-1)^p u[i_1, j_p] C_{k-1}[I - i_1, J - j_p].
+
+    In lexicographic order the subsets I starting at site i form one run
+    of rows, and I - i runs through the last C(N-1-i, k-1) rows of C_{k-1}
+    in the same order; the column of each J - j_p is found by binary
+    search in C_{k-1}'s indices.  So each run of rows takes k column
+    gathers and products, no determinant is taken, and nothing larger
+    than two levels is held."""
     n = u.shape[0]
-    subsets = list(combinations(range(n), k))
-    m = len(subsets)
-    if k == 0:
-        return np.ones((1, 1), dtype=complex)
-    rows = np.array(subsets)
-    # stack all (S', S) submatrices and take dets in one vectorized call
-    sub = u[rows[:, None, :, None], rows[None, :, None, :]]
-    return np.linalg.det(sub.reshape(m * m, k, k)).reshape(m, m)
+    shifts = np.arange(n - 1, -1, -1)
+    prev = sector_indices(n, 0)
+    level = np.ones((1, 1), dtype=complex)
+    yield prev, level
+    for k in range(1, k_max + 1):
+        idx = sector_indices(n, k)
+        # the sites of each subset in ascending order, and the column of the
+        # subset without each of them in C_{k-1} (prev is descending)
+        sites = (np.flatnonzero((idx[:, None] >> shifts) & 1) % n).reshape(-1, k)
+        without = idx[:, None] ^ (1 << (n - 1 - sites))
+        minus = len(prev) - 1 - np.searchsorted(prev[::-1], without)
+        nxt = np.empty((idx.size, idx.size), dtype=complex)
+        start = 0
+        for i in range(n - k + 1):
+            rest = level[len(level) - comb(n - 1 - i, k - 1):]
+            block = nxt[start : start + len(rest)]
+            block[...] = u[i, sites[:, 0]] * rest[:, minus[:, 0]]
+            for p in range(1, k):
+                term = u[i, sites[:, p]] * rest[:, minus[:, p]]
+                if p % 2:
+                    block -= term
+                else:
+                    block += term
+            start += len(rest)
+        prev, level = idx, nxt
+        yield idx, level
+
+
+def sector_propagator(u: np.ndarray, k: int) -> np.ndarray:
+    """Determinant lift of the N x N matrix u to the k-excitation sector:
+    element (S', S) = det(u[S', S]) over the subsets in sector_indices
+    order, i.e. the k-th compound matrix of u, built from C_0 .. C_{k-1}
+    by _compound_levels' Laplace recursion."""
+    for _, level in _compound_levels(u, k):
+        pass
+    return level
 
 
 def _givens_rotations(u: np.ndarray):
@@ -213,15 +251,16 @@ def site_populations(n_sites: int, sectors: dict) -> np.ndarray:
 
 
 def lift_to_full(u: np.ndarray) -> np.ndarray:
-    """Lift a single-particle unitary to the full 2^N space via Slater
-    determinants.  Block diagonal in total excitation number."""
+    """Lift a single-particle matrix to the full 2^N space: the compound
+    matrices C_0(u) .. C_N(u) (Slater determinants, _compound_levels)
+    scattered onto their number blocks, walking the levels once.  The
+    2^N x 2^N result is refused above DENSE_MATRIX_LIMIT before anything
+    is built."""
     n = u.shape[0]
     check_dense_size(n)
-    dim = 2**n
-    full = np.zeros((dim, dim), dtype=complex)
-    for k in range(n + 1):
-        idx = sector_indices(n, k)
-        full[np.ix_(idx, idx)] = sector_propagator(u, k)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for idx, level in _compound_levels(u, n):
+        full[np.ix_(idx, idx)] = level
     return full
 
 

@@ -395,21 +395,14 @@ class TestDecomposition:
         ok, err = z_layer_equivalent(circuit.unitary(), effective_gate(n, theta))
         assert ok, err
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 12])
-    def test_one_negated_iswap_is_caught(self, monkeypatch, n):
-        angles = []
-
-        def negate_first(angle, real=gates.iswap_matrix):
-            angles.append(angle)
-            return real(-angle if len(angles) == 1 else angle)
-
-        monkeypatch.setattr(gates, "iswap_matrix", negate_first)
-        with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
-            compile_decomposition(n, 0.3 * np.pi, 1.0)
-
-    @pytest.mark.parametrize("n", [40, 1000])
-    @pytest.mark.parametrize("fault", _FAULTS)
-    def test_one_faulty_gate_is_caught(self, monkeypatch, n, fault):
+    # every fault at N = 40 and 1000, and the negated iSWAP also at N = 11
+    # and 12, past _FAULTY_NETWORKS' dense comparison
+    @pytest.mark.parametrize(
+        "fault,n",
+        [(fault, n) for n in (40, 1000) for fault in _FAULTS]
+        + [("negated_iswap", 11), ("negated_iswap", 12)],
+    )
+    def test_one_faulty_gate_is_caught(self, monkeypatch, fault, n):
         _inject_fault(monkeypatch, fault, n)
         with pytest.raises(RuntimeError, match="not Z-layer equivalent"):
             compile_decomposition(n, 0.3 * np.pi, 1.0)

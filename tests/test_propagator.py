@@ -21,6 +21,7 @@ from fstchain.propagator import (
     lift_to_full,
     network_apply,
     sector_indices,
+    sector_propagator,
     single_propagator,
     state_from_json,
     write_state_json,
@@ -200,6 +201,37 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_to_full(np.eye(13, dtype=complex))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_compound_matrices_are_minor_determinants(self, n):
+        # any complex matrix, not only a unitary or symmetric one: entry
+        # (S', S) of the sector-k lift is det(a[S', S]) over the subsets in
+        # lexicographic order, k = 0 and k = N included, and lift_to_full
+        # puts it at the bitstrings of S' and S
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        full = lift_to_full(a)
+        for k in range(n + 1):
+            subsets = list(combinations(range(n), k))
+            want = np.array([[np.linalg.det(a[np.ix_(r, c)]) if k else 1.0
+                              for c in subsets] for r in subsets])
+            got = sector_propagator(a, k)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            idx = [sum(1 << (n - 1 - s) for s in sites) for sites in subsets]
+            np.testing.assert_array_equal(full[np.ix_(idx, idx)], got)
+
+    def test_eleven_sites_peak_within_one_and_a_half_outputs(self):
+        # the lift holds at most two compound levels beside its 2^N x 2^N
+        # output (the largest, C(11, 5)^2 entries, is 5% of it)
+        u = np.linalg.qr(np.random.default_rng(11).normal(size=(11, 11)))[0]
+        tracemalloc.start()
+        try:
+            full = lift_to_full(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * full.nbytes
+
 
 class TestDenseOracle:
     def test_single_site_detuning(self):
@@ -258,7 +290,7 @@ class TestDenseOracle:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(propagator, "single_propagator", refuse)
-        monkeypatch.setattr(propagator, "sector_propagator", refuse)
+        monkeypatch.setattr(propagator, "_compound_levels", refuse)
         monkeypatch.setattr(propagator, "network_apply", refuse)
         monkeypatch.setattr(np.linalg, "det", refuse)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -267,6 +299,9 @@ class TestDenseOracle:
         # one eigh of each excitation-number block
         assert blocks == [comb(6, k) for k in range(7)]
         np.testing.assert_allclose(u, _kron_oracle(params, 0.9), rtol=0, atol=1e-12)
+        # the patch bites: the determinant lift goes through _compound_levels
+        with pytest.raises(AssertionError, match="free-fermion engine"):
+            lift_to_full(np.eye(6, dtype=complex))
 
     @pytest.mark.parametrize(
         "call",

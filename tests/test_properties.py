@@ -1,5 +1,6 @@
-"""Property tests: the Givens-network sector engine against the determinant
-lift and the dense oracle, the sector state of a chain against its 2^N vector,
+"""Property tests: the compound matrices of the determinant lift (Cauchy-Binet,
+unitarity), the Givens-network sector engine against that lift and the dense
+oracle, the sector state of a chain against its 2^N vector,
 run_scenario against a dense state-vector reference, and the parity
 protocol's linearity."""
 
@@ -16,9 +17,11 @@ from fstchain.propagator import (
     basis_state,
     dense_oracle,
     evolve_state,
+    lift_to_full,
     network_apply,
     sector_indices,
     sector_propagator,
+    single_propagator,
     site_populations,
     split_sectors,
 )
@@ -74,6 +77,31 @@ def test_sector_apply_composes(case, seed):
     once = _one_sector(u1 @ u2, k, amp)
     twice = _one_sector(u1, k, _one_sector(u2, k, amp))
     assert np.abs(once - twice).max() < 1e-12
+
+
+@st.composite
+def unitary_pairs(draw, max_sites=8):
+    """(a, b, k): two random N x N unitaries and a sector k in 0..N."""
+    n = draw(st.integers(1, max_sites))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _unitary(n, rng), _unitary(n, rng), k
+
+
+@SETTINGS
+@given(unitary_pairs())
+def test_compound_matrices_obey_cauchy_binet(case):
+    a, b, k = case
+    want = sector_propagator(a, k) @ sector_propagator(b, k)
+    assert np.abs(sector_propagator(a @ b, k) - want).max() < 1e-12
+
+
+@SETTINGS
+@given(unitary_pairs())
+def test_compound_matrix_of_a_unitary_is_unitary(case):
+    a, _, k = case
+    c = sector_propagator(a, k)
+    assert np.abs(c.conj().T @ c - np.eye(comb(a.shape[0], k))).max() < 1e-12
 
 
 @st.composite
@@ -154,15 +182,20 @@ def test_basis_state_rejects_duplicate_sites():
 
 def test_hot_paths_never_build_the_lift(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("sector_propagator called")
+        raise AssertionError("_compound_levels called")
 
-    monkeypatch.setattr(propagator, "sector_propagator", forbidden)
+    monkeypatch.setattr(propagator, "_compound_levels", forbidden)
     params = synthesize(ChainSpec(n_sites=7, theta=1.1, tau=1.0))
     rng = np.random.default_rng(2)
     psi = rng.normal(size=2**7) + 1j * rng.normal(size=2**7)
     evolve_state(psi, params, 0.7)
     events = ({"t": 0.6, "kind": "xflip", "site": 4},)
     run_scenario(Scenario(7, 1.1, (1, 2, 6), events), n_steps=4)
+    # the patch bites: both oracle entry points go through _compound_levels
+    u = single_propagator(params, 0.7)
+    for lift in (lift_to_full, lambda u: sector_propagator(u, 3)):
+        with pytest.raises(AssertionError, match="_compound_levels"):
+            lift(u)
 
 
 def test_durations_never_build_the_swap_schedule(monkeypatch, tmp_path):
